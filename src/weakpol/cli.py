@@ -3,8 +3,12 @@
 Commands: single, pair, table, kdist, bound, check. Data commands serialize
 to CSV or JSON (floats in shortest round-trip form, so re-parsing reproduces
 the computed values exactly); bound and kdist default to short text
-summaries. Exit codes: 0 success, 1 failed check, 2 usage error, 3 numerical
-guard failure.
+summaries. Density output (single, pair) is streamed one block of rows per
+arm-a grid point, so memory stays bounded by the values array rather than by
+the size of the text; the bytes equal ``csv.writer`` over ``repr`` fields and
+``json.dumps(indent=2)`` of the whole document. A write that fails removes
+the partial ``--out`` file. Exit codes: 0 success, 1 failed check, 2 usage
+error, 3 numerical guard failure, 4 output I/O error.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import io
 import json
 import math
 import sys
+from collections.abc import Iterable, Iterator
 from decimal import Decimal, ROUND_HALF_UP
 from pathlib import Path
 
@@ -69,6 +74,10 @@ class UsageError(Exception):
     pass
 
 
+class OutputError(Exception):
+    """The output file could not be opened or written."""
+
+
 def _fmt(x: float) -> str:
     return repr(float(x))
 
@@ -115,8 +124,10 @@ def _load_state_file(path: str) -> np.ndarray:
         )
     try:
         state = np.array([complex(re, im) for re, im in amplitudes])
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise UsageError(f"state file {path!r}: each amplitude must be an [re, im] pair") from None
+    if not np.isfinite(state).all():
+        raise UsageError(f"state file {path!r}: amplitudes must be finite numbers")
     norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > 1e-9:
         raise UsageError(f"state file {path!r}: amplitudes are not normalized (norm {norm})")
@@ -149,12 +160,31 @@ def _json_text(command: str, config: dict, data) -> str:
     return json.dumps({"command": command, "config": config, "data": data}, indent=2) + "\n"
 
 
-def _write(text: str, out: str | None) -> None:
+def _write(chunks: Iterable[str], out: str | None) -> None:
+    """Write text chunks to stdout, or to the file ``out``.
+
+    If writing the file fails part way, the partial file is removed; OS errors
+    on the file become ``OutputError``.
+    """
     if out is None:
-        sys.stdout.write(text)
-    else:
-        with open(out, "w", encoding="utf-8", newline="") as handle:
-            handle.write(text)
+        for chunk in chunks:
+            sys.stdout.write(chunk)
+        return
+    try:
+        handle = open(out, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise OutputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
+    try:
+        with handle:
+            for chunk in chunks:
+                handle.write(chunk)
+    except BaseException as exc:
+        path = Path(out)
+        if path.is_file():
+            path.unlink()
+        if isinstance(exc, OSError):
+            raise OutputError(f"cannot write {out!r}: {exc.strerror or exc}") from None
+        raise
 
 
 def _delta_s_config(delta_s: float):
@@ -165,27 +195,52 @@ def _grid_config(grid: PointerGrid) -> str:
     return f"{grid.lo}:{grid.hi}:{grid.step}"
 
 
-def _density_document(density: OutcomeDensity, columns: list[str]) -> dict:
-    rows = []
-    if len(density.grids) == 1:
-        for i, m in enumerate(density.grids[0].points()):
-            rows.append([float(m)] + [float(v) for v in density.values[i]])
-    else:
-        points_a = density.grids[0].points()
-        points_b = density.grids[1].points()
-        for i, ma in enumerate(points_a):
-            for j, mb in enumerate(points_b):
-                rows.append([float(ma), float(mb)] + [float(v) for v in density.values[i, j]])
-    return {"columns": columns, "rows": rows}
+def _density_rows(
+    density: OutcomeDensity, lead: str, sep: str, trail: str, joiner: str, number
+) -> Iterator[str]:
+    """Rows of a density as text, one block of rows per arm-a grid point.
+
+    A row is ``lead + sep.join(fields) + trail``: the grid coordinates, then
+    the value of each label formatted by ``number``. Rows are separated by
+    ``joiner``, within and between blocks. Coordinate text is formatted once.
+    """
+    points_a = density.grids[0].points().tolist()
+    b_texts = [repr(m) + sep for m in density.grids[1].points().tolist()] if len(density.grids) == 2 else [""]
+    values = density.values.reshape(len(points_a), len(b_texts), -1)
+    for i, ma in enumerate(points_a):
+        a_text = lead + repr(ma) + sep
+        block = joiner.join(
+            [a_text + b_text + sep.join(map(number, row)) + trail for b_text, row in zip(b_texts, values[i].tolist())]
+        )
+        yield block if i == 0 else joiner + block
 
 
-def _emit_density(args, command: str, density: OutcomeDensity, columns: list[str], config: dict) -> None:
-    document = _density_document(density, columns)
-    if args.format == "json":
-        _write(_json_text(command, config, document), args.out)
-    else:
-        rows = [[_fmt(v) for v in row] for row in document["rows"]]
-        _write(_csv_text(columns, rows), args.out)
+# Stands in for the rows when the JSON head and tail are rendered.
+_ROWS_PLACEHOLDER = "\0rows"
+
+
+def _density_text(fmt: str, command: str, config: dict, density: OutcomeDensity, columns: list[str]) -> Iterator[str]:
+    """The CSV or JSON document of a density, streamed block by block.
+
+    CSV equals ``csv.writer(lineterminator="\\n")`` over ``repr`` fields. JSON
+    equals ``_json_text`` of ``{"columns": columns, "rows": [[coordinates...,
+    values...], ...]}``: the head and tail come from ``json.dumps`` itself and
+    the rows are laid out at the indent it gives the placeholder row.
+    """
+    if fmt == "csv":
+        yield _csv_text(columns, [])
+        yield from _density_rows(density, "", ",", "\n", "", float.__repr__)
+        return
+    text = _json_text(command, config, {"columns": columns, "rows": [_ROWS_PLACEHOLDER]})
+    # The rows are the last value in the document, so the last match is theirs.
+    head, _, tail = text.rpartition(json.dumps(_ROWS_PLACEHOLDER))
+    indent = head[head.rindex("\n"):]
+    field = indent + "  "
+    # json writes non-finite floats as NaN/Infinity/-Infinity, which repr does not.
+    number = float.__repr__ if np.isfinite(density.values).all() else json.dumps
+    yield head
+    yield from _density_rows(density, "[" + field, "," + field, indent + "]", "," + indent, number)
+    yield tail
 
 
 def _cmd_single(args) -> int:
@@ -196,7 +251,7 @@ def _cmd_single(args) -> int:
     grid = _parse_grid(args.grid)
     density = single_outcome_density(state, delta_s, grid)
     config = {"state": state_name, "delta_s": delta_s, "grid": _grid_config(grid)}
-    _emit_density(args, "single", density, ["s1m", "p_s2_plus", "p_s2_minus"], config)
+    _write(_density_text(args.format, "single", config, density, ["s1m", "p_s2_plus", "p_s2_minus"]), args.out)
     return 0
 
 
@@ -216,7 +271,7 @@ def _cmd_pair(args) -> int:
     }
     # Sheet columns: first sign is arm a's s2, second is arm b's.
     columns = ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"]
-    _emit_density(args, "pair", density, columns, config)
+    _write(_density_text(args.format, "pair", config, density, columns), args.out)
     return 0
 
 
@@ -258,7 +313,7 @@ def _cmd_table(args) -> int:
     config = {"system": system, "state": state_name, "delta_s": _delta_s_config(delta_s)}
 
     if args.format == "json":
-        _write(_json_text("table", config, _table_records(table)), args.out)
+        _write([_json_text("table", config, _table_records(table))], args.out)
         return 0
     if table.arms == 1:
         header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
@@ -272,7 +327,7 @@ def _cmd_table(args) -> int:
             [f"({b[0]},{b[1]})"] + [_fmt(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS]
             for b in PAIR_ROW_LABELS
         ]
-    _write(_csv_text(header, rows), args.out)
+    _write([_csv_text(header, rows)], args.out)
     return 0
 
 
@@ -290,14 +345,14 @@ def _cmd_kdist(args) -> int:
             {"k": k, "weight": distribution.weights[k], "percent": _round_percent(distribution.weights[k])}
             for k in ordered
         ]
-        _write(_json_text("kdist", config, data), args.out)
+        _write([_json_text("kdist", config, data)], args.out)
         return 0
     if args.format == "csv":
         rows = [
             [str(k), _fmt(distribution.weights[k]), f"{_round_percent(distribution.weights[k]):.1f}"]
             for k in ordered
         ]
-        _write(_csv_text(["k", "weight", "percent"], rows), args.out)
+        _write([_csv_text(["k", "weight", "percent"], rows)], args.out)
         return 0
     lines = [
         f"K={k}: {_round_percent(distribution.weights[k]):.1f}% (weight {_fmt(distribution.weights[k])})"
@@ -305,7 +360,7 @@ def _cmd_kdist(args) -> int:
     ]
     lines.append(f"sum of weights = {_fmt(distribution.total())}")
     lines.append(f"mean K = {_fmt(distribution.mean())}")
-    _write("\n".join(lines) + "\n", args.out)
+    _write(["\n".join(lines) + "\n"], args.out)
     return 0
 
 
@@ -315,11 +370,10 @@ def _cmd_bound(args) -> int:
     margin = quantum - bound
     if args.format == "json":
         data = {"classical_bound": bound, "quantum_expectation": quantum, "violation_margin": margin}
-        _write(_json_text("bound", {}, data), args.out)
+        _write([_json_text("bound", {}, data)], args.out)
         return 0
     _write(
-        f"classical max K = {bound:g}; quantum <K> = {quantum:.6f}; "
-        f"violation margin = {margin:.6f}\n",
+        [f"classical max K = {bound:g}; quantum <K> = {quantum:.6f}; violation margin = {margin:.6f}\n"],
         args.out,
     )
     return 0
@@ -486,6 +540,9 @@ def main(argv=None) -> int:
     except IllConditionedDesignError as exc:
         sys.stderr.write(f"numerical guard: {exc}\n")
         return 3
+    except OutputError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        return 4
 
 
 if __name__ == "__main__":

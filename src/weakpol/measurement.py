@@ -49,6 +49,8 @@ class PointerGrid:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(v) for v in (self.lo, self.hi, self.step)):
+            raise ValueError(f"grid bounds and step must be finite, got {self.lo}:{self.hi}:{self.step}")
         if not self.lo < self.hi:
             raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
         if not self.step > 0:

@@ -1,7 +1,9 @@
 import csv
+import errno
 import io
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -222,6 +224,54 @@ class TestErrorsAndExitCodes:
         path.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [1.0, 0.0]]}))
         code, _, err = run_cli(capsys, "single", "--state-file", str(path))
         assert code == 2 and "normalized" in err
+
+    @pytest.mark.parametrize("amplitudes", ["[[NaN, 0], [0, 0]]", "[[Infinity, 0], [0, 0]]", "[[1e400, 0], [0, 0]]"])
+    def test_state_file_must_be_finite(self, capsys, tmp_path, amplitudes):
+        path = tmp_path / "state.json"
+        path.write_text('{"amplitudes": %s}' % amplitudes)
+        code, out, err = run_cli(capsys, "single", "--state-file", str(path))
+        assert code == 2 and "amplitudes must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("grid", ["0:1:inf", "0:inf:1", "-inf:0:1", "0:1:nan"])
+    def test_non_finite_grid_is_usage_error(self, capsys, grid):
+        code, out, err = run_cli(capsys, "single", f"--grid={grid}")
+        assert code == 2 and "must be finite" in err
+        assert out == ""
+
+    def test_unwritable_out_path_exits_four(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "out.csv"
+        code, out, err = run_cli(capsys, "single", "--grid", "-1:1:0.5", "--out", str(target))
+        assert code == 4
+        assert err.startswith("error: cannot write") and str(target) in err
+        assert out == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails every write")
+    def test_failed_write_exits_four(self, capsys):
+        code, _, err = run_cli(capsys, "bound", "--out", "/dev/full")
+        assert code == 4 and "cannot write" in err
+
+    def test_write_error_mid_stream_removes_partial_file(self, capsys, tmp_path, monkeypatch):
+        def fail_after_first_block(*args):
+            yield "s1m,p_s2_plus,p_s2_minus\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli, "_density_text", fail_after_first_block)
+        target = tmp_path / "out.csv"
+        code, _, err = run_cli(capsys, "single", "--out", str(target))
+        assert code == 4 and "No space left" in err
+        assert not target.exists()
+
+    def test_exception_mid_stream_removes_partial_file(self, tmp_path, monkeypatch):
+        def fail_after_first_block(*args):
+            yield "s1m,p_s2_plus,p_s2_minus\n"
+            raise RuntimeError("formatting failed")
+
+        monkeypatch.setattr(cli, "_density_text", fail_after_first_block)
+        target = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            cli.main(["single", "--out", str(target)])
+        assert not target.exists()
 
     def test_state_file_round_trip_matches_named_state(self, capsys, tmp_path):
         root_half = 1.0 / math.sqrt(2.0)

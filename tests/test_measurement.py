@@ -32,6 +32,14 @@ class TestPointerGrid:
         with pytest.raises(ValueError):
             PointerGrid(-1.0, 1.0, 0.0)
 
+    @pytest.mark.parametrize(
+        "lo,hi,step",
+        [(0.0, 1.0, math.inf), (0.0, math.inf, 1.0), (-math.inf, 0.0, 1.0), (0.0, 1.0, math.nan)],
+    )
+    def test_rejects_non_finite_bounds_and_step(self, lo, hi, step):
+        with pytest.raises(ValueError, match="finite"):
+            PointerGrid(lo, hi, step)
+
 
 class TestMeasurementKernel:
     def test_centered_kernel_on_sigma_x(self):

@@ -1,0 +1,143 @@
+"""Density output must equal, byte for byte, the whole-document serializers.
+
+The reference below builds every row as a list of Python floats and hands the
+document to ``csv.writer`` (``repr`` fields) or ``json.dumps(indent=2)``; the
+CLI streams the same text block by block.
+"""
+
+import csv
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from weakpol import cli
+from weakpol.measurement import (
+    PAIR_LABELS,
+    SINGLE_LABELS,
+    OutcomeDensity,
+    PointerGrid,
+    coincidence_density,
+    single_outcome_density,
+)
+from weakpol.polarization import bell_state, stokes_eigenstate
+
+SINGLE_COLUMNS = ["s1m", "p_s2_plus", "p_s2_minus"]
+PAIR_COLUMNS = ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"]
+
+
+def reference_text(fmt, command, config, density, columns):
+    rows = []
+    if len(density.grids) == 1:
+        for i, m in enumerate(density.grids[0].points()):
+            rows.append([float(m)] + [float(v) for v in density.values[i]])
+    else:
+        points_b = density.grids[1].points()
+        for i, ma in enumerate(density.grids[0].points()):
+            for j, mb in enumerate(points_b):
+                rows.append([float(ma), float(mb)] + [float(v) for v in density.values[i, j]])
+    if fmt == "json":
+        document = {"command": command, "config": config, "data": {"columns": columns, "rows": rows}}
+        return json.dumps(document, indent=2) + "\n"
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    writer.writerows([[repr(v) for v in row] for row in rows])
+    return buffer.getvalue()
+
+
+def streamed_text(fmt, command, config, density, columns):
+    return "".join(cli._density_text(fmt, command, config, density, columns))
+
+
+def run_to_file(tmp_path, *argv):
+    target = tmp_path / "out"
+    assert cli.main([*argv, "--out", str(target)]) == 0
+    return target.read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_single_matches_reference(tmp_path, fmt):
+    data = run_to_file(tmp_path, "single", "--delta-s", "0.6", "--grid", "-3:3:0.05", "--format", fmt)
+    density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-3.0, 3.0, 0.05))
+    config = {"state": "y+", "delta_s": 0.6, "grid": "-3.0:3.0:0.05"}
+    assert data == reference_text(fmt, "single", config, density, SINGLE_COLUMNS).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_pair_with_separate_arm_b_grid_matches_reference(tmp_path, fmt):
+    data = run_to_file(
+        tmp_path, "pair", "--delta-s", "1.3", "--grid", "-2:2:0.25", "--grid-b", "-1:1.5:0.5", "--format", fmt
+    )
+    grid_a, grid_b = PointerGrid(-2.0, 2.0, 0.25), PointerGrid(-1.0, 1.5, 0.5)
+    density = coincidence_density(bell_state(), 1.3, grid_a, grid_b)
+    config = {"state": "bell", "delta_s": 1.3, "grid": "-2.0:2.0:0.25", "grid_b": "-1.0:1.5:0.5"}
+    assert data == reference_text(fmt, "pair", config, density, PAIR_COLUMNS).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_stdout_matches_reference(capsys, fmt):
+    assert cli.main(["pair", "--delta-s", "2", "--grid", "-1:1:0.5", "--format", fmt]) == 0
+    density = coincidence_density(bell_state(), 2.0, PointerGrid(-1.0, 1.0, 0.5), PointerGrid(-1.0, 1.0, 0.5))
+    config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:0.5", "grid_b": "-1.0:1.0:0.5"}
+    assert capsys.readouterr().out == reference_text(fmt, "pair", config, density, PAIR_COLUMNS)
+
+
+SPECIAL_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, math.nan, math.inf, -math.inf, 0.1, -1e-05]
+
+
+def special_values(shape):
+    return np.resize(np.array(SPECIAL_VALUES), shape)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_special_values_single(tmp_path, monkeypatch, fmt):
+    grid = PointerGrid(-1.0, 1.0, 0.5)
+    density = OutcomeDensity((grid,), SINGLE_LABELS, special_values((grid.count, 2)))
+    monkeypatch.setattr(cli, "single_outcome_density", lambda *args: density)
+    data = run_to_file(tmp_path, "single", "--grid", "-1:1:0.5", "--format", fmt)
+    config = {"state": "y+", "delta_s": 0.6, "grid": "-1.0:1.0:0.5"}
+    expected = reference_text(fmt, "single", config, density, SINGLE_COLUMNS)
+    assert data == expected.encode("utf-8")
+    assert ("NaN" if fmt == "json" else "nan") in expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_special_values_pair(tmp_path, monkeypatch, fmt):
+    grid_a, grid_b = PointerGrid(-1.0, 1.0, 1.0), PointerGrid(0.0, 0.5, 0.25)
+    density = OutcomeDensity((grid_a, grid_b), PAIR_LABELS, special_values((grid_a.count, grid_b.count, 4)))
+    monkeypatch.setattr(cli, "coincidence_density", lambda *args: density)
+    data = run_to_file(tmp_path, "pair", "--grid", "-1:1:1", "--grid-b", "0:0.5:0.25", "--format", fmt)
+    config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:1.0", "grid_b": "0.0:0.5:0.25"}
+    expected = reference_text(fmt, "pair", config, density, PAIR_COLUMNS)
+    assert data == expected.encode("utf-8")
+    assert ("-Infinity" if fmt == "json" else "-inf") in expected
+
+
+def small_grid():
+    return st.tuples(st.floats(-1e6, 1e6), st.integers(1, 4), st.floats(1e-3, 1e3)).map(
+        lambda t: PointerGrid(t[0], t[0] + t[1] * t[2], t[2])
+    )
+
+
+@st.composite
+def densities(draw):
+    grid_list = tuple(draw(st.lists(small_grid(), min_size=1, max_size=2)))
+    labels = SINGLE_LABELS if len(grid_list) == 1 else PAIR_LABELS
+    shape = tuple(grid.count for grid in grid_list) + (len(labels),)
+    values = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
+    return OutcomeDensity(grid_list, labels, values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(density=densities(), fmt=st.sampled_from(["csv", "json"]))
+def test_streamed_text_matches_reference_for_any_values(density, fmt):
+    columns = SINGLE_COLUMNS if len(density.grids) == 1 else PAIR_COLUMNS
+    # A config string that dumps exactly like the rows placeholder of the streamer.
+    config = {"state": "\0rows", "delta_s": 0.5}
+    assert streamed_text(fmt, "x", config, density, columns) == reference_text(fmt, "x", config, density, columns)
