@@ -6,13 +6,7 @@ joint quasi-probability tables hiding behind them, and the distribution of
 the CHSH correlation that explains the Bell violation.
 """
 
-from .linalg import (
-    SpectralDecomposition,
-    expectation,
-    hermitian_eigen,
-    operator_function,
-    tensor,
-)
+from .linalg import expectation, operator_function, tensor
 from .measurement import (
     LIMIT,
     OutcomeDensity,
@@ -60,7 +54,6 @@ __all__ = [
     "PointerGrid",
     "QuasiProbTable",
     "SINGLE_LABELS",
-    "SpectralDecomposition",
     "bell_expectation",
     "bell_operator",
     "bell_state",
@@ -71,7 +64,6 @@ __all__ = [
     "deconvolve",
     "eigenstate_density_closed_form",
     "expectation",
-    "hermitian_eigen",
     "k_distribution",
     "k_value",
     "measurement_kernel",

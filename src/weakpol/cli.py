@@ -8,7 +8,8 @@ arm-a grid point, so memory stays bounded by the values array rather than by
 the size of the text; the bytes equal ``csv.writer`` over ``repr`` fields and
 ``json.dumps(indent=2)`` of the whole document. A write that fails removes
 the partial ``--out`` file. Exit codes: 0 success, 1 failed check, 2 usage
-error, 3 numerical guard failure, 4 output I/O error.
+error, 3 numerical guard failure, 4 output I/O error (including a stdout
+pipe closed by its reader).
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import csv
 import io
 import json
 import math
+import os
 import sys
 from collections.abc import Iterable, Iterator
 from decimal import Decimal, ROUND_HALF_UP
@@ -36,6 +38,7 @@ from .measurement import (
     completeness_defect,
     eigenstate_density_closed_form,
     single_outcome_density,
+    validate_resolution,
 )
 from .polarization import (
     bell_expectation,
@@ -97,17 +100,14 @@ def _parse_grid(text: str) -> PointerGrid:
 
 
 def _parse_delta_s(text: str, allow_limit: bool) -> float:
-    if text.strip().lower() == "inf":
-        if not allow_limit:
-            raise UsageError("delta-s 'inf' is only accepted by the table and kdist commands")
-        return LIMIT
+    # Only the literal 'inf' selects the limit; "1e400" is an out-of-range number.
+    limit = text.strip().lower() == "inf"
+    if limit and not allow_limit:
+        raise UsageError("delta-s 'inf' is only accepted by the table and kdist commands")
     try:
-        value = float(text)
-    except ValueError:
-        raise UsageError(f"delta-s must be a positive number or 'inf', got {text!r}") from None
-    if not value > 0 or math.isinf(value) or math.isnan(value):
-        raise UsageError(f"delta-s must be a positive number, got {text!r}")
-    return value
+        return validate_resolution(float(text), allow_limit=limit)
+    except ValueError as exc:
+        raise UsageError(f"delta-s {text!r}: {exc}") from None
 
 
 def _load_state_file(path: str) -> np.ndarray:
@@ -144,8 +144,10 @@ def _resolve_state(args, default: str) -> tuple[np.ndarray, str]:
 
 
 def _round_percent(weight: float) -> float:
-    """Percentage rounded half away from zero to one decimal."""
-    return float(Decimal(repr(weight * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    """Percentage rounded half away from zero to one decimal; zero is always +0.0."""
+    rounded = float(Decimal(repr(weight * 100.0)).quantize(Decimal("0.1"), rounding=ROUND_HALF_UP))
+    # Adding +0.0 turns -0.0 into +0.0, so a tiny negative residue prints 0.0%.
+    return rounded + 0.0
 
 
 def _csv_text(header: list[str], rows: list[list[str]]) -> str:
@@ -169,6 +171,8 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     if out is None:
         for chunk in chunks:
             sys.stdout.write(chunk)
+        # A closed pipe must fail here, inside main, not in the flush at exit.
+        sys.stdout.flush()
         return
     try:
         handle = open(out, "w", encoding="utf-8", newline="")
@@ -276,20 +280,10 @@ def _cmd_pair(args) -> int:
 
 
 def _table_records(table):
+    # Table entries are stored in serialization order.
     if table.arms == 1:
-        return [
-            {"labels": {"s1": s1, "s2": s2}, "weight": table.entries[(s1, s2)]}
-            for s2 in SINGLE_LABELS
-            for s1 in S1_CENTERS
-        ]
-    return [
-        {
-            "labels": {"a": list(label_a), "b": list(label_b)},
-            "weight": table.entries[(label_a, label_b)],
-        }
-        for label_b in PAIR_ROW_LABELS
-        for label_a in PAIR_COLUMN_LABELS
-    ]
+        return [{"labels": {"s1": s1, "s2": s2}, "weight": weight} for (s1, s2), weight in table.entries.items()]
+    return [{"labels": {"a": list(a), "b": list(b)}, "weight": weight} for (a, b), weight in table.entries.items()]
 
 
 def _cmd_table(args) -> int:
@@ -542,6 +536,14 @@ def main(argv=None) -> int:
         return 3
     except OutputError as exc:
         sys.stderr.write(f"error: {exc}\n")
+        return 4
+    except BrokenPipeError:
+        # The reader of stdout is gone. Point stdout at devnull so that the
+        # interpreter's flush at exit cannot fail on what is still buffered.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.stderr.write("error: cannot write to standard output: the reader closed the pipe\n")
         return 4
 
 

@@ -1,21 +1,17 @@
 """Dense complex linear algebra for the 2- and 4-dimensional spaces used here.
 
 Vectors and matrices are plain complex numpy arrays; nothing in this module
-assumes a physical interpretation. Hermitian operators are handled through
-their spectral decomposition, with nearly degenerate eigenvalues merged into
-a single projector so that operator functions remain stable when an exact
-degeneracy is split by rounding.
+assumes a physical interpretation. Functions of Hermitian operators go
+through ``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 HERMITIAN_TOL = 1e-12
-EIGENVALUE_CLUSTER_TOL = 1e-9
 NORMALIZATION_TOL = 1e-12
 
 
@@ -37,7 +33,8 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian."""
     arr = as_matrix(m)
     defect = float(np.max(np.abs(arr - arr.conj().T)))
-    if defect > tol:
+    # Written so that a NaN defect fails the check too.
+    if not defect <= tol:
         raise ValueError(f"matrix is not Hermitian (max |M - M^H| = {defect:.3e})")
     return arr
 
@@ -45,7 +42,7 @@ def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
 def require_normalized(v, tol: float = NORMALIZATION_TOL) -> np.ndarray:
     arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
-    if abs(norm - 1.0) > tol:
+    if not abs(norm - 1.0) <= tol:
         raise ValueError(f"state vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
     return arr
 
@@ -68,89 +65,18 @@ def tensor(a, b) -> np.ndarray:
     return np.kron(a_arr, b_arr)
 
 
-@dataclass(frozen=True)
-class SpectralDecomposition:
-    """Eigendecomposition of a Hermitian matrix with degeneracies merged.
-
-    ``eigenvalues``/``eigenvectors`` hold the raw ascending spectrum (one
-    column per eigenvector, phases fixed deterministically). Eigenvalues
-    closer than the clustering tolerance share one entry of
-    ``distinct_eigenvalues`` and one projector; each projector is the sum of
-    the outer products of its cluster's eigenvectors.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-    distinct_eigenvalues: np.ndarray
-    projectors: tuple[np.ndarray, ...]
-
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.size
-
-    def reconstruct(self) -> np.ndarray:
-        """Sum of eigenvalue * projector over the distinct clusters."""
-        out = np.zeros((self.dim, self.dim), dtype=complex)
-        for value, projector in zip(self.distinct_eigenvalues, self.projectors):
-            out += value * projector
-        return out
-
-
-def _fix_phase(column: np.ndarray) -> np.ndarray:
-    # Make the first component of largest magnitude real and positive so the
-    # decomposition is byte-stable across runs.
-    pivot = int(np.argmax(np.abs(column)))
-    phase = column[pivot] / abs(column[pivot])
-    return column * phase.conjugate()
-
-
-def hermitian_eigen(m, cluster_tol: float = EIGENVALUE_CLUSTER_TOL) -> SpectralDecomposition:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Eigenvalues are ascending; eigenvalues whose gap is below ``cluster_tol``
-    are merged into one cluster, represented by the cluster mean and a single
-    rank-``k`` projector.
-    """
-    arr = require_hermitian(m)
-    eigenvalues, eigenvectors = np.linalg.eigh(arr)
-    eigenvectors = eigenvectors.copy()
-    for j in range(eigenvectors.shape[1]):
-        eigenvectors[:, j] = _fix_phase(eigenvectors[:, j])
-
-    # Split indices into clusters of nearly equal eigenvalues.
-    clusters: list[list[int]] = [[0]]
-    for i in range(1, eigenvalues.size):
-        if eigenvalues[i] - eigenvalues[i - 1] < cluster_tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-
-    distinct = np.array([float(np.mean(eigenvalues[idx])) for idx in clusters])
-    projectors = []
-    for idx in clusters:
-        block = eigenvectors[:, idx]
-        projector = block @ block.conj().T
-        projectors.append((projector + projector.conj().T) / 2.0)
-
-    return SpectralDecomposition(
-        eigenvalues=eigenvalues,
-        eigenvectors=eigenvectors,
-        distinct_eigenvalues=distinct,
-        projectors=tuple(projectors),
-    )
-
-
 def operator_function(m, f: Callable[[float], float]) -> np.ndarray:
     """Apply a real scalar function to a Hermitian matrix via spectral calculus.
 
-    Returns ``sum_k f(lambda_k) P_k`` over the distinct eigenvalue clusters;
-    the result is Hermitian whenever ``f`` is real-valued.
+    Returns ``V f(L) V^H`` for the eigenvalues ``L`` and eigenvectors ``V`` of
+    ``m``. The result depends only on the spectrum, not on the basis chosen
+    inside a degenerate eigenspace, so it stays continuous when an exact
+    degeneracy is split by rounding; it is Hermitian whenever ``f`` is
+    real-valued.
     """
-    decomposition = hermitian_eigen(m)
-    out = np.zeros((decomposition.dim, decomposition.dim), dtype=complex)
-    for value, projector in zip(decomposition.distinct_eigenvalues, decomposition.projectors):
-        out += float(f(float(value))) * projector
-    return out
+    eigenvalues, eigenvectors = np.linalg.eigh(require_hermitian(m))
+    values = np.array([float(f(float(x))) for x in eigenvalues])
+    return (eigenvectors * values) @ eigenvectors.conj().T
 
 
 def expectation(state, m) -> float:

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import SpectralDecomposition, hermitian_eigen, operator_function, require_hermitian, require_normalized, tensor
-from .polarization import stokes_eigenstate, stokes_operator, two_photon_stokes
+from .linalg import operator_function, require_normalized
+from .polarization import stokes_eigenstate, stokes_operator
 
 LIMIT = math.inf
 
@@ -29,14 +29,36 @@ SINGLE_LABELS = (1, -1)
 PAIR_LABELS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
+# Each arm's s1 eigenvalues, in the order of the arm axes of amplitude tensors.
+_S1_EIGENVALUES = (-1, 1)
+
+# _ARM[e, s2] = <s2| (I + e s1)/2: project one arm onto s1 = e, read out s2.
+_ARM = np.array(
+    [
+        [stokes_eigenstate(2, s2).conj() @ (np.eye(2) + e * stokes_operator(1)) / 2.0 for s2 in SINGLE_LABELS]
+        for e in _S1_EIGENVALUES
+    ]
+)
+
+_ROOT_TWO_PI = math.sqrt(2.0 * math.pi)
+
+
 def validate_resolution(delta_s: float, allow_limit: bool = False) -> float:
+    """Return ``delta_s`` as a float, or raise ``ValueError``.
+
+    Accepted: values whose square and inverse square are finite nonzero
+    floats (about 7.5e-155 to 1.3e154), and ``math.inf`` with ``allow_limit``.
+    """
     value = float(delta_s)
-    if math.isinf(value):
-        if not allow_limit or value < 0:
-            raise ValueError("infinite resolution is not accepted here")
+    if value == math.inf and allow_limit:
         return value
-    if not (value > 0) or math.isnan(value):
-        raise ValueError(f"resolution delta_s must be positive, got {delta_s!r}")
+    # Multiplication overflows to inf where ** would raise OverflowError.
+    square = value * value
+    if not (value > 0 and 0 < square < math.inf and 1.0 / square < math.inf):
+        raise ValueError(
+            "resolution delta_s must be positive with a finite nonzero square and inverse square "
+            f"(about 7.5e-155 to 1.3e154), got {delta_s!r}"
+        )
     return value
 
 
@@ -87,10 +109,7 @@ class OutcomeDensity:
         return self.values[..., self.label_index(label)]
 
     def cell_volume(self) -> float:
-        volume = 1.0
-        for grid in self.grids:
-            volume *= grid.step
-        return volume
+        return math.prod(grid.step for grid in self.grids)
 
     def integrate(self) -> float:
         """Quadrature over all grids and sum over labels."""
@@ -103,19 +122,60 @@ class OutcomeDensity:
         return tuple(float(grid.points()[i]) for grid, i in zip(self.grids, index))
 
 
+def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
+    """Apply one matrix per arm to the leading arm axes of ``weights``.
+
+    out[p, q, ..., j...] = sum M_0[p, e] M_1[q, f] ... weights[e, f, ..., j...],
+    with any trailing axes (the readout labels) carried through.
+    """
+    arms = len(matrices)
+    operands = []
+    for axis, matrix in enumerate(matrices):
+        operands += [matrix, [arms + axis, axis]]
+    return np.einsum(*operands, weights, [*range(arms), ...], [*range(arms, 2 * arms), ...], optimize=True)
+
+
+def _amplitudes(state, arms: int) -> np.ndarray:
+    """A[e_a, (e_b,) j] = <s2 sheet j| P_ea (P_eb) |state> over the s1 eigenprojectors.
+
+    One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over
+    the readout sheets in ``SINGLE_LABELS``/``PAIR_LABELS`` order.
+    """
+    psi = require_normalized(state)
+    if psi.size != 2**arms:
+        kind = "single-photon" if arms == 1 else "pair"
+        raise ValueError(f"{kind} state must have dimension {2**arms}, got {psi.size}")
+    per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, psi.reshape((2,) * arms))
+    # per_arm axes are (e_a, s2a, e_b, s2b, ...); gather the e's first.
+    order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2)]
+    return per_arm.reshape((2, 2) * arms).transpose(order).reshape((2,) * arms + (-1,))
+
+
+def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.ndarray:
+    """exp(-scale ((m - c)/delta_s)^2) for every grid point m (rows) and center c (columns)."""
+    z = (points[:, None] - np.asarray(centers, dtype=float)[None, :]) / delta_s
+    # Far from a center z*z overflows to inf, and exp gives the intended 0.
+    with np.errstate(over="ignore"):
+        return np.exp(-scale * z * z)
+
+
+def _density(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> OutcomeDensity:
+    """|<s2 sheet| K(m_a) (K(m_b)) |state>|^2 through the spectral form of each arm's kernel."""
+    amplitudes = _amplitudes(state, len(grids))
+    delta_s = validate_resolution(delta_s)
+    # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4).
+    norm = math.sqrt(delta_s * _ROOT_TWO_PI)
+    factors = [_gaussians(grid.points(), _S1_EIGENVALUES, delta_s, 0.25) / norm for grid in grids]
+    signal = _contract_arms(factors, amplitudes)
+    labels = SINGLE_LABELS if len(grids) == 1 else PAIR_LABELS
+    return OutcomeDensity(grids=grids, labels=labels, values=np.abs(signal) ** 2)
+
+
 def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:
     """Gaussian measurement operator for pointer value ``m`` on a Hermitian target."""
-    target = require_hermitian(target)
     delta_s = validate_resolution(delta_s)
-    prefactor = (2.0 * math.pi * delta_s**2) ** -0.25
-    variance4 = 4.0 * delta_s**2
-    return prefactor * operator_function(target, lambda x: math.exp(-((x - m) ** 2) / variance4))
-
-
-def _gaussian_factors(decomposition: SpectralDecomposition, delta_s: float, points: np.ndarray) -> np.ndarray:
-    """exp(-(lambda - m)^2 / (4 delta_s^2)) for every grid point and cluster."""
-    gaps = points[:, None] - decomposition.distinct_eigenvalues[None, :]
-    return np.exp(-(gaps**2) / (4.0 * delta_s**2))
+    kernel = operator_function(target, lambda x: _gaussians(np.array([x]), [m], delta_s, 0.25).item())
+    return kernel / math.sqrt(delta_s * _ROOT_TWO_PI)
 
 
 def single_outcome_density(state, delta_s: float, grid: PointerGrid) -> OutcomeDensity:
@@ -126,22 +186,7 @@ def single_outcome_density(state, delta_s: float, grid: PointerGrid) -> OutcomeD
     the kernel, which is identical to applying ``measurement_kernel`` point by
     point.
     """
-    psi = require_normalized(state)
-    if psi.size != 2:
-        raise ValueError(f"single-photon state must have dimension 2, got {psi.size}")
-    delta_s = validate_resolution(delta_s)
-
-    decomposition = hermitian_eigen(stokes_operator(1))
-    readout = [stokes_eigenstate(2, label) for label in SINGLE_LABELS]
-    # amplitudes[e, j] = <s2_j| P_e |psi> for the s1 eigenprojectors P_e
-    amplitudes = np.array(
-        [[np.vdot(chi, projector @ psi) for chi in readout] for projector in decomposition.projectors]
-    )
-
-    factors = _gaussian_factors(decomposition, delta_s, grid.points())
-    prefactor = 1.0 / math.sqrt(2.0 * math.pi * delta_s**2)
-    values = prefactor * np.abs(factors @ amplitudes) ** 2
-    return OutcomeDensity(grids=(grid,), labels=SINGLE_LABELS, values=values)
+    return _density(state, delta_s, (grid,))
 
 
 def eigenstate_density_closed_form(delta_s: float, m):
@@ -152,57 +197,29 @@ def eigenstate_density_closed_form(delta_s: float, m):
 
         P(m; +-1) = exp(-(m^2+1)/(2 ds^2)) / sqrt(2 pi ds^2)
                     * cosh^2 or sinh^2 of m/(2 ds^2).
+
+    Evaluated as exp(-(|m|-1)^2/(2 ds^2)) / sqrt(2 pi ds^2) * ((1 +- t)/2)^2,
+    t = exp(-|m|/ds^2), so that no factor overflows at small ds.
     """
     delta_s = validate_resolution(delta_s)
-    m = np.asarray(m, dtype=float)
-    variance = delta_s**2
-    envelope = np.exp(-(m**2 + 1.0) / (2.0 * variance)) / math.sqrt(2.0 * math.pi * variance)
-    argument = m / (2.0 * variance)
-    return envelope * np.cosh(argument) ** 2, envelope * np.sinh(argument) ** 2
+    m = np.abs(np.asarray(m, dtype=float))
+    # Overflow to inf far from m = 1 and at large |m| makes the intended 0 and 1 - 0.
+    with np.errstate(over="ignore"):
+        z = (m - 1.0) / delta_s
+        envelope = np.exp(-0.5 * z * z) / (delta_s * _ROOT_TWO_PI)
+        r = (m / delta_s) / delta_s
+    return envelope * ((1.0 + np.exp(-r)) / 2.0) ** 2, envelope * (np.expm1(-r) / 2.0) ** 2
 
 
-def coincidence_density(
-    state,
-    delta_s: float,
-    grid_a: PointerGrid,
-    grid_b: PointerGrid,
-    *,
-    delta_s_b: float | None = None,
-) -> OutcomeDensity:
+def coincidence_density(state, delta_s: float, grid_a: PointerGrid, grid_b: PointerGrid) -> OutcomeDensity:
     """Joint pointer/readout density for a photon pair.
 
-    Both arms carry an s1 pointer measurement (resolution ``delta_s``, or
-    ``delta_s_b`` on arm b when given) followed by projective s2 readouts.
-    The two kernels act on different tensor factors and commute, so this is
+    Both arms carry an s1 pointer measurement of resolution ``delta_s``
+    followed by projective s2 readouts. The two kernels act on different
+    tensor factors and commute, so this is
     |<s2a, s2b| K_a(m_a) K_b(m_b) |state>|^2 per sheet.
     """
-    psi = require_normalized(state)
-    if psi.size != 4:
-        raise ValueError(f"pair state must have dimension 4, got {psi.size}")
-    delta_s = validate_resolution(delta_s)
-    delta_s_b = delta_s if delta_s_b is None else validate_resolution(delta_s_b)
-
-    decomposition_a = hermitian_eigen(two_photon_stokes(1, "a"))
-    decomposition_b = hermitian_eigen(two_photon_stokes(1, "b"))
-    readout = [
-        tensor(stokes_eigenstate(2, s2a), stokes_eigenstate(2, s2b)) for s2a, s2b in PAIR_LABELS
-    ]
-    # amplitudes[e, f, j] = <s2 pair j| P_e(a) P_f(b) |psi>
-    amplitudes = np.array(
-        [
-            [[np.vdot(chi, pa @ (pb @ psi)) for chi in readout] for pb in decomposition_b.projectors]
-            for pa in decomposition_a.projectors
-        ]
-    )
-
-    factors_a = _gaussian_factors(decomposition_a, delta_s, grid_a.points())
-    factors_b = _gaussian_factors(decomposition_b, delta_s_b, grid_b.points())
-    prefactor = 1.0 / (
-        math.sqrt(2.0 * math.pi * delta_s**2) * math.sqrt(2.0 * math.pi * delta_s_b**2)
-    )
-    signal = np.einsum("pe,qf,efj->pqj", factors_a, factors_b, amplitudes, optimize=True)
-    values = prefactor * np.abs(signal) ** 2
-    return OutcomeDensity(grids=(grid_a, grid_b), labels=PAIR_LABELS, values=values)
+    return _density(state, delta_s, (grid_a, grid_b))
 
 
 def completeness_defect(target, delta_s: float, grid: PointerGrid) -> float:
@@ -212,14 +229,11 @@ def completeness_defect(target, delta_s: float, grid: PointerGrid) -> float:
     the grid; a small defect certifies that the kernel family is a valid
     measurement on that grid.
     """
-    target = require_hermitian(target)
     delta_s = validate_resolution(delta_s)
-    decomposition = hermitian_eigen(target)
-    factors = _gaussian_factors(decomposition, delta_s, grid.points())
-    prefactor = 1.0 / math.sqrt(2.0 * math.pi * delta_s**2)
-    cluster_weights = prefactor * grid.step * np.sum(factors**2, axis=0)
+    points = grid.points()
 
-    quadrature = np.zeros((decomposition.dim, decomposition.dim), dtype=complex)
-    for weight, projector in zip(cluster_weights, decomposition.projectors):
-        quadrature += weight * projector
-    return float(np.max(np.abs(quadrature - np.eye(decomposition.dim))))
+    def integrated_kernel(x: float) -> float:
+        return grid.step * float(np.sum(_gaussians(points, [x], delta_s, 0.5))) / (delta_s * _ROOT_TWO_PI)
+
+    quadrature = operator_function(target, integrated_kernel)
+    return float(np.max(np.abs(quadrature - np.eye(quadrature.shape[0]))))

@@ -12,7 +12,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import expectation, hermitian_eigen, tensor
+from .linalg import expectation, tensor
 
 STOKES_AXES = (1, 2, 3)
 PHOTON_ARMS = ("a", "b")
@@ -26,6 +26,17 @@ _STOKES = {
     1: np.array([[0, 1], [1, 0]], dtype=complex),
     2: np.array([[0, -1j], [1j, 0]], dtype=complex),
     3: np.array([[1, 0], [0, -1]], dtype=complex),
+}
+
+# (axis, eigenvalue) -> eigenvector, in the phase convention of stokes_eigenstate.
+_ROOT_HALF = 1.0 / np.sqrt(2.0)
+_EIGENSTATES = {
+    (1, 1): (_ROOT_HALF, _ROOT_HALF),
+    (1, -1): (_ROOT_HALF, -_ROOT_HALF),
+    (2, 1): (_ROOT_HALF, 1j * _ROOT_HALF),
+    (2, -1): (_ROOT_HALF, -1j * _ROOT_HALF),
+    (3, 1): (1.0, 0.0),
+    (3, -1): (0.0, 1.0),
 }
 
 
@@ -54,11 +65,7 @@ def stokes_eigenstate(axis: int, value: int) -> np.ndarray:
     """
     if value not in (-1, 1):
         raise ValueError(f"Stokes eigenvalue must be -1 or +1, got {value!r}")
-    decomposition = hermitian_eigen(stokes_operator(axis))
-    for eigenvalue, vector in zip(decomposition.eigenvalues, decomposition.eigenvectors.T):
-        if abs(eigenvalue - value) < 1e-9:
-            return vector.copy()
-    raise AssertionError("Stokes operators always have eigenvalues -1 and +1")
+    return np.array(_EIGENSTATES[(_check_axis(axis), value)], dtype=complex)
 
 
 def two_photon_stokes(axis: int, arm: str) -> np.ndarray:

@@ -11,26 +11,29 @@ the damping disappears and the weights reach their full strength.
 
 Two independent routes to every table are provided: the analytic projector
 construction (the product) and a least-squares deconvolution of the sampled
-density (the oracle).
+density (the oracle). Both, and the remix of a table into a density, act on
+a weight tensor with one axis per arm through one per-arm matrix each.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import product
 
 import numpy as np
 
-from .linalg import hermitian_eigen, require_normalized, tensor
 from .measurement import (
-    LIMIT,
     OutcomeDensity,
     PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
+    _amplitudes,
+    _contract_arms,
+    _gaussians,
     validate_resolution,
 )
-from .polarization import chsh_combination, stokes_eigenstate, stokes_operator, two_photon_stokes
+from .polarization import chsh_combination
 
 S1_CENTERS = (-1, 0, 1)
 K_VALUES = (-2, -1, 0, 1, 2)
@@ -42,12 +45,15 @@ PAIR_ROW_LABELS = ((1, 1), (0, 1), (-1, 1), (1, -1), (0, -1), (-1, -1))
 
 CONDITION_LIMIT = 1e10
 
-# Ordered eigenvalue pairs (e, e') whose midpoint is each s1 center; the
-# center 0 collects both cross terms, which doubles the real part.
-_CENTER_PAIRS = {
-    -1: ((-1, -1),),
-    0: ((1, -1), (-1, 1)),
-    1: ((1, 1),),
+# Table keys by number of arms: in serialization order, and in the C order of
+# a weight tensor with axes (s1 per arm..., s2 per arm...).
+_TABLE_KEYS = {
+    1: [(s1, s2) for s2 in SINGLE_LABELS for s1 in S1_CENTERS],
+    2: [(label_a, label_b) for label_b in PAIR_ROW_LABELS for label_a in PAIR_COLUMN_LABELS],
+}
+_TENSOR_KEYS = {
+    1: list(product(S1_CENTERS, SINGLE_LABELS)),
+    2: [((s1a, s2a), (s1b, s2b)) for (s1a, s1b), (s2a, s2b) in product(product(S1_CENTERS, repeat=2), PAIR_LABELS)],
 }
 
 
@@ -104,18 +110,36 @@ class KDistribution:
         return float(sum(k * w for k, w in self.weights.items()))
 
 
-def _cross_damping(e: int, e_prime: int, delta_s: float) -> float:
-    if e == e_prime or math.isinf(delta_s):
-        return 1.0
-    return math.exp(-((e - e_prime) ** 2) / (8.0 * delta_s**2))
+def _table(weights: np.ndarray, delta_s: float, arms: int) -> QuasiProbTable:
+    """Table from weights[c_a, (c_b,) j]: s1 center index per arm, then readout sheet j."""
+    by_key = dict(zip(_TENSOR_KEYS[arms], weights.ravel().tolist()))
+    return QuasiProbTable(entries={key: by_key[key] for key in _TABLE_KEYS[arms]}, delta_s=delta_s, arms=arms)
 
 
-def _projector_by_eigenvalue(operator) -> dict:
-    decomposition = hermitian_eigen(operator)
-    return {
-        int(round(value)): projector
-        for value, projector in zip(decomposition.distinct_eigenvalues, decomposition.projectors)
-    }
+def _weights(table: QuasiProbTable) -> np.ndarray:
+    """Inverse of ``_table``: the weight tensor of a table."""
+    weights = np.array([table.entries[key] for key in _TENSOR_KEYS[table.arms]])
+    return weights.reshape((len(S1_CENTERS),) * table.arms + (-1,))
+
+
+def _center_map(delta_s: float) -> np.ndarray:
+    """C[c, (e, e')]: 1 where s1 center c is the midpoint of eigenvalues e, e'.
+
+    The cross pairs e != e' carry the damping exp(-1/(2 delta_s^2)), 1 at inf.
+    """
+    damping = math.exp(-0.5 / (delta_s * delta_s))
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, damping, damping, 0.0], [0.0, 0.0, 0.0, 1.0]])
+
+
+def _analytic_table(state, delta_s: float, arms: int) -> QuasiProbTable:
+    """Weights Re sum C[c_a, (e_a, e_a')] ... A[e_a, ..., j] conj(A[e_a', ..., j])."""
+    amplitudes = _amplitudes(state, arms)
+    delta_s = validate_resolution(delta_s, allow_limit=True)
+    # products[e_a, e_a', e_b, e_b', ..., j] = A[e_a, e_b, ..., j] conj(A[e_a', e_b', ..., j])
+    primed, unprimed, sheet = [*range(1, 2 * arms, 2)], [*range(0, 2 * arms, 2)], 2 * arms
+    products = np.einsum(amplitudes, [*unprimed, sheet], amplitudes.conj(), [*primed, sheet], [*range(sheet + 1)])
+    products = products.reshape((4,) * arms + (-1,))
+    return _table(_contract_arms([_center_map(delta_s)] * arms, products).real, delta_s, arms)
 
 
 def quasiprob_table_single(state, delta_s: float) -> QuasiProbTable:
@@ -125,80 +149,22 @@ def quasiprob_table_single(state, delta_s: float) -> QuasiProbTable:
     at s1 = +-1 is |A_e(s2)|^2 and the weight at the midpoint s1 = 0 is
     2 Re[A_+ conj(A_-)] times the cross damping (1 in the limit).
     """
-    psi = require_normalized(state)
-    if psi.size != 2:
-        raise ValueError(f"single-photon state must have dimension 2, got {psi.size}")
-    delta_s = validate_resolution(delta_s, allow_limit=True)
-
-    projectors = _projector_by_eigenvalue(stokes_operator(1))
-    amplitudes = {
-        (e, s2): complex(np.vdot(stokes_eigenstate(2, s2), projectors[e] @ psi))
-        for e in (-1, 1)
-        for s2 in SINGLE_LABELS
-    }
-
-    entries = {}
-    for s2 in SINGLE_LABELS:
-        for center in S1_CENTERS:
-            weight = 0.0
-            for e, e_prime in _CENTER_PAIRS[center]:
-                product = amplitudes[(e, s2)] * amplitudes[(e_prime, s2)].conjugate()
-                weight += product.real * _cross_damping(e, e_prime, delta_s)
-            entries[(center, s2)] = weight
-    return QuasiProbTable(entries=entries, delta_s=delta_s, arms=1)
+    return _analytic_table(state, delta_s, 1)
 
 
-def quasiprob_table_pair(state, delta_s: float, *, delta_s_b: float | None = None) -> QuasiProbTable:
+def quasiprob_table_pair(state, delta_s: float) -> QuasiProbTable:
     """Joint quasi-probability table over both photons (36 entries).
 
     Generalizes the single-photon construction with one projector index per
     arm: amplitudes A(ea, eb; s2a, s2b) = <s2a, s2b| P_ea P_eb |state>, and
     each arm contributes its own cross damping factor.
     """
-    psi = require_normalized(state)
-    if psi.size != 4:
-        raise ValueError(f"pair state must have dimension 4, got {psi.size}")
-    delta_s = validate_resolution(delta_s, allow_limit=True)
-    delta_s_b = delta_s if delta_s_b is None else validate_resolution(delta_s_b, allow_limit=True)
-
-    projectors_a = _projector_by_eigenvalue(two_photon_stokes(1, "a"))
-    projectors_b = _projector_by_eigenvalue(two_photon_stokes(1, "b"))
-    readout = {
-        (s2a, s2b): tensor(stokes_eigenstate(2, s2a), stokes_eigenstate(2, s2b))
-        for s2a, s2b in PAIR_LABELS
-    }
-    amplitudes = {
-        (ea, eb, s2): complex(np.vdot(readout[s2], projectors_a[ea] @ (projectors_b[eb] @ psi)))
-        for ea in (-1, 1)
-        for eb in (-1, 1)
-        for s2 in PAIR_LABELS
-    }
-
-    entries = {}
-    for label_b in PAIR_ROW_LABELS:
-        center_b, s2b = label_b
-        for label_a in PAIR_COLUMN_LABELS:
-            center_a, s2a = label_a
-            weight = 0.0
-            for ea, ea_prime in _CENTER_PAIRS[center_a]:
-                for eb, eb_prime in _CENTER_PAIRS[center_b]:
-                    product = (
-                        amplitudes[(ea, eb, (s2a, s2b))]
-                        * amplitudes[(ea_prime, eb_prime, (s2a, s2b))].conjugate()
-                    )
-                    weight += (
-                        product.real
-                        * _cross_damping(ea, ea_prime, delta_s)
-                        * _cross_damping(eb, eb_prime, delta_s_b)
-                    )
-            entries[(label_a, label_b)] = weight
-    return QuasiProbTable(entries=entries, delta_s=delta_s, arms=2)
+    return _analytic_table(state, delta_s, 2)
 
 
 def _gaussian_columns(points: np.ndarray, delta_s: float) -> np.ndarray:
     """Normalized Gaussians of variance delta_s^2 at the s1 centers, one column each."""
-    gaps = points[:, None] - np.array(S1_CENTERS, dtype=float)[None, :]
-    return np.exp(-(gaps**2) / (2.0 * delta_s**2)) / math.sqrt(2.0 * math.pi * delta_s**2)
+    return _gaussians(points, S1_CENTERS, delta_s, 0.5) / (delta_s * math.sqrt(2.0 * math.pi))
 
 
 def reconstruct_density(
@@ -210,24 +176,11 @@ def reconstruct_density(
     result equals the directly computed outcome density at every grid point.
     """
     delta_s = validate_resolution(table.delta_s)
-    columns = _gaussian_columns(grid.points(), delta_s)
-    if table.arms == 1:
-        values = np.zeros((grid.count, len(SINGLE_LABELS)))
-        for j, s2 in enumerate(SINGLE_LABELS):
-            for i, center in enumerate(S1_CENTERS):
-                values[:, j] += table.entries[(center, s2)] * columns[:, i]
-        return OutcomeDensity(grids=(grid,), labels=SINGLE_LABELS, values=values)
-
-    if grid_b is None:
+    if table.arms == 2 and grid_b is None:
         raise ValueError("pair tables need both grids to reconstruct the density")
-    columns_b = _gaussian_columns(grid_b.points(), delta_s)
-    values = np.zeros((grid.count, grid_b.count, len(PAIR_LABELS)))
-    for j, (s2a, s2b) in enumerate(PAIR_LABELS):
-        for i_a, center_a in enumerate(S1_CENTERS):
-            for i_b, center_b in enumerate(S1_CENTERS):
-                weight = table.entries[((center_a, s2a), (center_b, s2b))]
-                values[:, :, j] += weight * np.outer(columns[:, i_a], columns_b[:, i_b])
-    return OutcomeDensity(grids=(grid, grid_b), labels=PAIR_LABELS, values=values)
+    grids = (grid,) if table.arms == 1 else (grid, grid_b)
+    values = _contract_arms([_gaussian_columns(g.points(), delta_s) for g in grids], _weights(table))
+    return OutcomeDensity(grids=grids, labels=SINGLE_LABELS if table.arms == 1 else PAIR_LABELS, values=values)
 
 
 def _check_grid_coverage(grid: PointerGrid, delta_s: float) -> None:
@@ -245,50 +198,22 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
 
     Least-squares fit, per readout label, onto Gaussians of variance
     ``delta_s^2`` centered at the s1 labels (separable products of them in
-    the pair case), solved through the normal equations of the sampled
-    design matrix. Acts as the independent oracle for the analytic tables.
+    the pair case), solved arm by arm: the pseudo-inverse of the Kronecker
+    product of the arms' designs is the product of their pseudo-inverses.
+    Acts as the independent oracle for the analytic tables.
     """
     delta_s = validate_resolution(delta_s)
     for grid in density.grids:
         _check_grid_coverage(grid, delta_s)
 
-    if len(density.grids) == 1:
-        design = _gaussian_columns(density.grids[0].points(), delta_s)
-        centers: list = list(S1_CENTERS)
-    else:
-        columns_a = _gaussian_columns(density.grids[0].points(), delta_s)
-        columns_b = _gaussian_columns(density.grids[1].points(), delta_s)
-        design = np.einsum("pc,qd->pqcd", columns_a, columns_b).reshape(
-            columns_a.shape[0] * columns_b.shape[0], len(S1_CENTERS) ** 2
-        )
-        centers = [(ca, cb) for ca in S1_CENTERS for cb in S1_CENTERS]
-
-    condition_number = float(np.linalg.cond(design))
-    if condition_number > CONDITION_LIMIT:
+    designs = [_gaussian_columns(grid.points(), delta_s) for grid in density.grids]
+    # cond(A (x) B) = cond(A) cond(B): the guard sees the full design's value.
+    condition_number = math.prod(float(np.linalg.cond(design)) for design in designs)
+    if not condition_number <= CONDITION_LIMIT:
         raise IllConditionedDesignError(delta_s, condition_number)
 
-    gram = design.T @ design
-    entries = {}
-    for j, label in enumerate(density.labels):
-        samples = density.values[..., j].reshape(-1)
-        weights = np.linalg.solve(gram, design.T @ samples)
-        if len(density.grids) == 1:
-            for center, weight in zip(centers, weights):
-                entries[(center, label)] = float(weight)
-        else:
-            s2a, s2b = label
-            for (center_a, center_b), weight in zip(centers, weights):
-                entries[((center_a, s2a), (center_b, s2b))] = float(weight)
-
-    if len(density.grids) == 1:
-        ordered = {(c, s2): entries[(c, s2)] for s2 in SINGLE_LABELS for c in S1_CENTERS}
-        return QuasiProbTable(entries=ordered, delta_s=delta_s, arms=1)
-    ordered = {
-        (label_a, label_b): entries[(label_a, label_b)]
-        for label_b in PAIR_ROW_LABELS
-        for label_a in PAIR_COLUMN_LABELS
-    }
-    return QuasiProbTable(entries=ordered, delta_s=delta_s, arms=2)
+    weights = _contract_arms([np.linalg.pinv(design) for design in designs], density.values)
+    return _table(weights, delta_s, len(density.grids))
 
 
 def _check_joint_label(label) -> tuple[int, int]:

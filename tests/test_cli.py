@@ -1,12 +1,18 @@
+import contextlib
 import csv
 import errno
 import io
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakpol import cli
 from weakpol.measurement import PointerGrid, single_outcome_density
@@ -140,8 +146,13 @@ class TestKdistCommand:
         code, out, _ = run_cli(capsys, "kdist")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0].startswith("K=2: 103.0% (weight 1.03033008588990")
-        assert lines[4].startswith("K=-2: -3.0% (weight -0.0303300858899")
+        assert lines[0].startswith("K=2: 103.0% (weight ")
+        assert lines[4].startswith("K=-2: -3.0% (weight ")
+        # The exact weights are (4 +- 3*sqrt(2))/8; 5e-15 either side of them.
+        weight_plus = float(lines[0].split("(weight ")[1].rstrip(")"))
+        weight_minus = float(lines[4].split("(weight ")[1].rstrip(")"))
+        assert abs(weight_plus - (4 + 3 * math.sqrt(2)) / 8) <= 5e-15
+        assert abs(weight_minus - (4 - 3 * math.sqrt(2)) / 8) <= 5e-15
 
     def test_csv_percent_matches_half_away_rounding(self, capsys):
         code, out, _ = run_cli(capsys, "kdist", "--format", "csv")
@@ -194,6 +205,12 @@ class TestRoundHalfAwayFromZero:
     )
     def test_examples(self, weight, expected):
         assert cli._round_percent(weight) == expected
+
+    def test_tiny_negative_residue_is_positive_zero(self):
+        # A K=0 weight of -2.8e-17 is rounding residue of an exact zero.
+        rounded = cli._round_percent(-2.8e-17)
+        assert math.copysign(1.0, rounded) == 1.0
+        assert f"{rounded:.1f}" == "0.0"
 
 
 class TestErrorsAndExitCodes:
@@ -286,6 +303,50 @@ class TestErrorsAndExitCodes:
         for file_row, name_row in zip(file_rows, name_rows):
             for file_cell, name_cell in zip(file_row, name_row):
                 assert float(file_cell) == pytest.approx(float(name_cell), abs=1e-15)
+
+
+class TestDeltaSRange:
+    @pytest.mark.parametrize("command", ["single", "table", "kdist", "pair"])
+    @pytest.mark.parametrize("delta_s", ["1e-200", "1e200"])
+    def test_out_of_range_is_usage_error(self, capsys, command, delta_s):
+        code, out, err = run_cli(capsys, command, "--delta-s", delta_s)
+        assert code == 2 and "7.5e-155 to 1.3e154" in err
+        assert out == ""
+
+    @settings(max_examples=40, deadline=None)
+    @given(delta_s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_every_positive_float_exits_zero_or_two(self, delta_s):
+        for command in ("single", "pair", "table", "kdist"):
+            argv = [command, "--delta-s", repr(delta_s)]
+            if command in ("single", "pair"):
+                argv += ["--grid", "-2:2:1"]
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(argv)
+            assert code in (0, 2)
+            if code == 0:
+                assert err.getvalue() == ""
+                assert "nan" not in out.getvalue().lower() and "inf" not in out.getvalue().lower()
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_four_without_traceback(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # About 0.7 MB of CSV: far more than a pipe buffers, so writing must
+        # go on after the reader has gone.
+        process = subprocess.Popen(
+            [sys.executable, "-m", "weakpol.cli", "single", "--grid", "-6:6:0.001"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=env,
+        )
+        assert process.stdout.readline() == b"s1m,p_s2_plus,p_s2_minus\n"
+        process.stdout.close()
+        stderr = process.stderr.read().decode()
+        assert process.wait(timeout=60) == 4
+        assert "Traceback" not in stderr
+        assert "error: cannot write" in stderr
 
 
 class TestDeterminism:

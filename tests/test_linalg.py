@@ -5,9 +5,9 @@ import pytest
 
 from weakpol.linalg import (
     expectation,
-    hermitian_eigen,
     operator_function,
     require_hermitian,
+    require_normalized,
     tensor,
 )
 
@@ -41,54 +41,6 @@ class TestTensor:
             assert tensor(a, b).shape == (dim_a * dim_b, dim_a * dim_b)
 
 
-class TestHermitianEigen:
-    def test_diagonal_matrix(self):
-        decomposition = hermitian_eigen(np.diag([3.0, 1.0]))
-        assert np.allclose(decomposition.eigenvalues, [1.0, 3.0])
-        assert np.allclose(decomposition.projectors[0], np.diag([0.0, 1.0]))
-        assert np.allclose(decomposition.projectors[1], np.diag([1.0, 0.0]))
-
-    def test_sigma_x(self):
-        decomposition = hermitian_eigen(SIGMA_X)
-        assert np.allclose(decomposition.eigenvalues, [-1.0, 1.0])
-        root_half = 1.0 / math.sqrt(2.0)
-        assert np.allclose(decomposition.eigenvectors[:, 0], [root_half, -root_half])
-        assert np.allclose(decomposition.eigenvectors[:, 1], [root_half, root_half])
-
-    def test_degenerate_two_photon_operator(self):
-        decomposition = hermitian_eigen(tensor(SIGMA_X, I2))
-        assert np.allclose(decomposition.eigenvalues, [-1.0, -1.0, 1.0, 1.0])
-        assert len(decomposition.projectors) == 2
-        for projector in decomposition.projectors:
-            assert abs(np.trace(projector).real - 2.0) < 1e-12
-
-    def test_non_hermitian_rejected(self):
-        with pytest.raises(ValueError, match="Hermitian"):
-            hermitian_eigen(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-    def test_phase_convention_is_deterministic(self, rng):
-        m = random_hermitian(rng, 4)
-        first = hermitian_eigen(m)
-        second = hermitian_eigen(m.copy())
-        assert np.array_equal(first.eigenvectors, second.eigenvectors)
-        for column in first.eigenvectors.T:
-            pivot = column[np.argmax(np.abs(column))]
-            assert pivot.real > 0 and abs(pivot.imag) < 1e-12
-
-    @pytest.mark.parametrize("dim", [2, 4])
-    def test_reconstruction_and_projector_algebra(self, rng, dim):
-        for _ in range(50):
-            m = random_hermitian(rng, dim)
-            decomposition = hermitian_eigen(m)
-            assert np.max(np.abs(decomposition.reconstruct() - m)) < 1e-10
-            total = sum(decomposition.projectors)
-            assert np.max(np.abs(total - np.eye(dim))) < 1e-10
-            for i, p in enumerate(decomposition.projectors):
-                assert np.max(np.abs(p @ p - p)) < 1e-10
-                for q in decomposition.projectors[i + 1 :]:
-                    assert np.max(np.abs(p @ q)) < 1e-10
-
-
 class TestOperatorFunction:
     def test_identity_function_returns_input(self, rng):
         m = random_hermitian(rng, 4)
@@ -110,6 +62,32 @@ class TestOperatorFunction:
     def test_result_is_hermitian(self, rng):
         em = operator_function(random_hermitian(rng, 4), math.exp)
         require_hermitian(em)
+
+    def test_non_hermitian_rejected(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            operator_function(np.array([[0.0, 1.0], [0.0, 0.0]]), math.exp)
+
+    def test_degenerate_spectrum_split_by_rounding(self):
+        # A two-photon s1 has the doubly degenerate eigenvalues -1 and +1. A
+        # perturbation at rounding level must move the result only at that
+        # level, whatever basis eigh picks inside each eigenspace.
+        degenerate = tensor(SIGMA_X, I2)
+        split = degenerate + 1e-13 * np.diag([1.0, -1.0, 2.0, -2.0])
+        upper = operator_function(degenerate, lambda x: float(x > 0))
+        assert abs(np.trace(upper).real - 2.0) < 1e-12
+        assert np.max(np.abs(upper - (np.eye(4) + degenerate) / 2.0)) < 1e-12
+        gaussian = lambda x: math.exp(-((x - 0.3) ** 2))
+        assert np.max(np.abs(operator_function(split, gaussian) - operator_function(degenerate, gaussian))) < 1e-12
+
+
+class TestNanInputsRejected:
+    def test_require_normalized_rejects_nan(self):
+        with pytest.raises(ValueError, match="normalized"):
+            require_normalized([math.nan, 0.0])
+
+    def test_require_hermitian_rejects_nan_entry(self):
+        with pytest.raises(ValueError, match="Hermitian"):
+            require_hermitian(np.array([[0.0, math.nan], [1.0, 0.0]]))
 
 
 class TestExpectation:

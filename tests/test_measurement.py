@@ -1,7 +1,10 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weakpol.measurement import (
     LIMIT,
@@ -12,8 +15,10 @@ from weakpol.measurement import (
     eigenstate_density_closed_form,
     measurement_kernel,
     single_outcome_density,
+    validate_resolution,
 )
-from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
+from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
+from weakpol.quasiprob import deconvolve, quasiprob_table_pair, quasiprob_table_single, reconstruct_density
 
 from conftest import random_pure_state
 
@@ -171,11 +176,22 @@ class TestCoincidenceDensity:
         sheet_mm = bell_density.sheet((-1, -1))
         assert np.max(np.abs(sheet_pp - sheet_mm[::-1, ::-1])) < 1e-15
 
-    def test_per_arm_resolutions_default_equal(self):
-        grid = PointerGrid(-8, 8, 0.2)
-        same = coincidence_density(bell_state(), 1.0, grid, grid, delta_s_b=1.0)
-        default = coincidence_density(bell_state(), 1.0, grid, grid)
-        assert np.array_equal(same.values, default.values)
+    def test_matches_literal_kernel_application(self, rng):
+        grid_a = PointerGrid(-2, 2, 0.5)
+        grid_b = PointerGrid(-1.5, 2.5, 1.0)
+        readout = {
+            label: np.kron(stokes_eigenstate(2, label[0]), stokes_eigenstate(2, label[1])) for label in PAIR_LABELS
+        }
+        for _ in range(3):
+            state = random_pure_state(rng, 4)
+            density = coincidence_density(state, 0.6, grid_a, grid_b)
+            for i, ma in enumerate(grid_a.points()):
+                kernel_a = measurement_kernel(two_photon_stokes(1, "a"), 0.6, float(ma))
+                for k, mb in enumerate(grid_b.points()):
+                    kernel_b = measurement_kernel(two_photon_stokes(1, "b"), 0.6, float(mb))
+                    for label, chi in readout.items():
+                        literal = abs(np.vdot(chi, kernel_a @ kernel_b @ state)) ** 2
+                        assert density.sheet(label)[i, k] == pytest.approx(literal, abs=1e-14)
 
     def test_wrong_dimension_rejected(self):
         grid = PointerGrid(-8, 8, 0.5)
@@ -196,3 +212,43 @@ class TestNonnegativity:
 
     def test_pair_labels_cover_all_four_sheets(self):
         assert set(PAIR_LABELS) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+
+class TestResolutionRange:
+    @pytest.mark.parametrize("delta_s", [1e-200, 5e-324, 1e155, 1e200, 0.0, -1.0, math.nan, -math.inf])
+    def test_out_of_range_names_the_accepted_range(self, delta_s):
+        with pytest.raises(ValueError, match="7.5e-155 to 1.3e154"):
+            validate_resolution(delta_s)
+
+    @settings(max_examples=150, deadline=None)
+    @given(delta_s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    def test_every_positive_float_gives_finite_results_or_value_error(self, delta_s):
+        grid = PointerGrid(-2, 2, 0.5)
+        yplus = stokes_eigenstate(2, +1)
+        calls = [
+            lambda: single_outcome_density(yplus, delta_s, grid).values,
+            lambda: coincidence_density(bell_state(), delta_s, grid, grid).values,
+            lambda: list(quasiprob_table_single(yplus, delta_s).entries.values()),
+            lambda: list(quasiprob_table_pair(bell_state(), delta_s).entries.values()),
+            lambda: reconstruct_density(quasiprob_table_pair(bell_state(), delta_s), grid, grid).values,
+            lambda: eigenstate_density_closed_form(delta_s, grid.points()),
+            lambda: measurement_kernel(stokes_operator(1), delta_s, 0.5),
+            lambda: completeness_defect(stokes_operator(1), delta_s, grid),
+        ]
+        try:
+            validate_resolution(delta_s)
+        except ValueError:
+            for call in calls:
+                with pytest.raises(ValueError):
+                    call()
+            return
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                assert np.isfinite(np.asarray(call())).all()
+            # The fit may refuse the grid or the design, but only with ValueError.
+            try:
+                table = deconvolve(single_outcome_density(yplus, delta_s, PointerGrid(-8, 8, 0.5)), delta_s)
+            except ValueError:
+                return
+            assert np.isfinite(list(table.entries.values())).all()

@@ -7,6 +7,7 @@ from weakpol.linalg import expectation
 from weakpol.measurement import (
     LIMIT,
     OutcomeDensity,
+    PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
     coincidence_density,
@@ -193,6 +194,23 @@ class TestDeconvolve:
         )
         with pytest.raises(IllConditionedDesignError, match="200000"):
             deconvolve(flat, delta_s)
+
+    def test_pair_guard_reports_condition_of_kronecker_design(self):
+        delta_s = 200.0
+        half_width = 1 + 6 * delta_s
+        grid = PointerGrid(-half_width, half_width, delta_s / 4)
+        points = grid.points()
+        design = np.stack(
+            [np.exp(-((points - c) ** 2) / (2 * delta_s**2)) / math.sqrt(2 * math.pi * delta_s**2) for c in (-1, 0, 1)],
+            axis=1,
+        )
+        flat = OutcomeDensity(
+            grids=(grid, grid), labels=PAIR_LABELS, values=np.zeros((grid.count, grid.count, 4))
+        )
+        with pytest.raises(IllConditionedDesignError) as excinfo:
+            deconvolve(flat, delta_s)
+        expected = np.linalg.cond(np.kron(design, design))
+        assert excinfo.value.condition_number == pytest.approx(expected, rel=1e-6)
 
     def test_insufficient_grid_coverage_rejected(self):
         density = single_outcome_density(stokes_eigenstate(2, +1), 1.0, PointerGrid(-4, 4, 0.01))
