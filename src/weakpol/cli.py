@@ -3,13 +3,15 @@
 Commands: single, pair, table, kdist, bound, check. Data commands serialize
 to CSV or JSON (floats in shortest round-trip form, so re-parsing reproduces
 the computed values exactly); bound and kdist default to short text
-summaries. Density output (single, pair) is streamed one block of rows per
-arm-a grid point, so memory stays bounded by the values array rather than by
-the size of the text; the bytes equal ``csv.writer`` over ``repr`` fields and
-``json.dumps(indent=2)`` of the whole document. A write that fails removes
-the partial ``--out`` file. Exit codes: 0 success, 1 failed check, 2 usage
-error, 3 numerical guard failure, 4 output I/O error (including a stdout
-pipe closed by its reader).
+summaries. single and pair share one handler, driven by the arm count.
+Density output is streamed one block of rows per arm-a grid point, so memory
+stays bounded by the values array rather than by the size of the text; the
+bytes equal ``csv.writer`` over ``repr`` fields and ``json.dumps(indent=2)``
+of the whole document. table, kdist, bound and check build their result once
+and write it through ``_render`` in the format ``--format`` names. A write
+that fails removes the partial ``--out`` file. Exit codes: 0 success, 1
+failed check, 2 usage error, 3 numerical guard failure, 4 output I/O error
+(including a stdout closed at start or by its reader).
 """
 
 from __future__ import annotations
@@ -31,7 +33,6 @@ from .linalg import as_vector
 from .measurement import (
     LIMIT,
     OutcomeDensity,
-    PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
     coincidence_density,
@@ -134,13 +135,18 @@ def _load_state_file(path: str) -> np.ndarray:
     return state / norm
 
 
-def _resolve_state(args, default: str) -> tuple[np.ndarray, str]:
-    if getattr(args, "state_file", None):
-        return _load_state_file(args.state_file), f"file:{args.state_file}"
-    name = getattr(args, "state", None) or default
-    if name not in NAMED_STATES:
-        raise UsageError(f"unknown state {name!r}; choose from {sorted(NAMED_STATES)} or --state-file")
-    return as_vector(NAMED_STATES[name]()), name
+def _resolve_state(args, default: str, arms: int | None = None) -> tuple[np.ndarray, str]:
+    """The state from ``--state-file`` or ``--state`` (else ``default``), of ``2**arms`` amplitudes if given."""
+    if args.state_file:
+        state, name = _load_state_file(args.state_file), f"file:{args.state_file}"
+    else:
+        name = args.state or default
+        if name not in NAMED_STATES:
+            raise UsageError(f"unknown state {name!r}; choose from {sorted(NAMED_STATES)} or --state-file")
+        state = as_vector(NAMED_STATES[name]())
+    if arms is not None and state.size != 2**arms:
+        raise UsageError(f"the {args.command} command needs a {2**arms}-amplitude state, got {state.size}")
+    return state, name
 
 
 def _round_percent(weight: float) -> float:
@@ -166,9 +172,12 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write text chunks to stdout, or to the file ``out``.
 
     If writing the file fails part way, the partial file is removed; OS errors
-    on the file become ``OutputError``.
+    on the file, and a stdout closed at start, become ``OutputError``.
     """
     if out is None:
+        # Python sets sys.stdout to None when file descriptor 1 is closed at start.
+        if sys.stdout is None:
+            raise OutputError("cannot write to standard output: it is closed")
         for chunk in chunks:
             sys.stdout.write(chunk)
         # A closed pipe must fail here, inside main, not in the flush at exit.
@@ -193,10 +202,6 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
 
 def _delta_s_config(delta_s: float):
     return "inf" if math.isinf(delta_s) else delta_s
-
-
-def _grid_config(grid: PointerGrid) -> str:
-    return f"{grid.lo}:{grid.hi}:{grid.step}"
 
 
 def _density_rows(
@@ -247,129 +252,88 @@ def _density_text(fmt: str, command: str, config: dict, density: OutcomeDensity,
     yield tail
 
 
-def _cmd_single(args) -> int:
-    state, state_name = _resolve_state(args, default="y+")
-    if state.size != 2:
-        raise UsageError(f"the single command needs a 2-amplitude state, got {state.size}")
+# Density commands: arm count, default state, columns. Pair sheet columns:
+# the first sign is arm a's s2, the second is arm b's.
+_DENSITY = {
+    "single": (1, "y+", ["s1m", "p_s2_plus", "p_s2_minus"]),
+    "pair": (2, "bell", ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"]),
+}
+
+
+def _cmd_density(args) -> int:
+    arms, default_state, columns = _DENSITY[args.command]
+    state, state_name = _resolve_state(args, default_state, arms)
     delta_s = _parse_delta_s(args.delta_s, allow_limit=False)
-    grid = _parse_grid(args.grid)
-    density = single_outcome_density(state, delta_s, grid)
-    config = {"state": state_name, "delta_s": delta_s, "grid": _grid_config(grid)}
-    _write(_density_text(args.format, "single", config, density, ["s1m", "p_s2_plus", "p_s2_minus"]), args.out)
+    grids = [_parse_grid(args.grid)]
+    if arms == 2:
+        grids.append(_parse_grid(args.grid_b) if args.grid_b else grids[0])
+    density = (single_outcome_density if arms == 1 else coincidence_density)(state, delta_s, *grids)
+    config = {"state": state_name, "delta_s": delta_s}
+    config.update((key, f"{grid.lo}:{grid.hi}:{grid.step}") for key, grid in zip(("grid", "grid_b"), grids))
+    _write(_density_text(args.format, args.command, config, density, columns), args.out)
     return 0
 
 
-def _cmd_pair(args) -> int:
-    state, state_name = _resolve_state(args, default="bell")
-    if state.size != 4:
-        raise UsageError(f"the pair command needs a 4-amplitude state, got {state.size}")
-    delta_s = _parse_delta_s(args.delta_s, allow_limit=False)
-    grid_a = _parse_grid(args.grid)
-    grid_b = _parse_grid(args.grid_b) if args.grid_b else grid_a
-    density = coincidence_density(state, delta_s, grid_a, grid_b)
-    config = {
-        "state": state_name,
-        "delta_s": delta_s,
-        "grid": _grid_config(grid_a),
-        "grid_b": _grid_config(grid_b),
-    }
-    # Sheet columns: first sign is arm a's s2, second is arm b's.
-    columns = ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"]
-    _write(_density_text(args.format, "pair", config, density, columns), args.out)
-    return 0
-
-
-def _table_records(table):
-    # Table entries are stored in serialization order.
-    if table.arms == 1:
-        return [{"labels": {"s1": s1, "s2": s2}, "weight": weight} for (s1, s2), weight in table.entries.items()]
-    return [{"labels": {"a": list(a), "b": list(b)}, "weight": weight} for (a, b), weight in table.entries.items()]
+def _render(args, config: dict, data, csv_table: tuple[list[str], list[list[str]]] | None = None, lines=()) -> None:
+    """Write a command's result as JSON ``data``, the CSV ``csv_table`` or text ``lines``, as ``--format`` asks."""
+    if args.format == "json":
+        text = _json_text(args.command, config, data)
+    elif args.format == "csv":
+        text = _csv_text(*csv_table)
+    else:
+        text = "".join(line + "\n" for line in lines)
+    _write([text], args.out)
 
 
 def _cmd_table(args) -> int:
-    system = args.system
-    if getattr(args, "state_file", None) or getattr(args, "state", None):
+    if args.state_file or args.state:
         state, state_name = _resolve_state(args, default="")
-        inferred = "single" if state.size == 2 else "pair"
-        if system is None:
-            system = inferred
-        elif system != inferred:
-            raise UsageError(f"--system {system} conflicts with a {state.size}-amplitude state")
+        system = "single" if state.size == 2 else "pair"
+        if args.system not in (None, system):
+            raise UsageError(f"--system {args.system} conflicts with a {state.size}-amplitude state")
     else:
-        system = system or "single"
+        system = args.system or "single"
         state, state_name = _resolve_state(args, default="y+" if system == "single" else "bell")
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
 
+    # Table entries are stored in serialization order.
     if system == "single":
         table = quasiprob_table_single(state, delta_s)
+        records = [{"labels": {"s1": s1, "s2": s2}, "weight": w} for (s1, s2), w in table.entries.items()]
+        header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
+        rows = [[f"{s2:+d}"] + [_fmt(table.entries[(s1, s2)]) for s1 in S1_CENTERS] for s2 in SINGLE_LABELS]
     else:
         table = quasiprob_table_pair(state, delta_s)
-    config = {"system": system, "state": state_name, "delta_s": _delta_s_config(delta_s)}
-
-    if args.format == "json":
-        _write([_json_text("table", config, _table_records(table))], args.out)
-        return 0
-    if table.arms == 1:
-        header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
-        rows = [
-            [f"{s2:+d}"] + [_fmt(table.entries[(s1, s2)]) for s1 in S1_CENTERS]
-            for s2 in SINGLE_LABELS
-        ]
-    else:
+        records = [{"labels": {"a": list(a), "b": list(b)}, "weight": w} for (a, b), w in table.entries.items()]
         header = ["(s1b,s2b)\\(s1a,s2a)"] + [f"({a[0]},{a[1]})" for a in PAIR_COLUMN_LABELS]
         rows = [
-            [f"({b[0]},{b[1]})"] + [_fmt(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS]
-            for b in PAIR_ROW_LABELS
+            [f"({b[0]},{b[1]})"] + [_fmt(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS] for b in PAIR_ROW_LABELS
         ]
-    _write([_csv_text(header, rows)], args.out)
+    config = {"system": system, "state": state_name, "delta_s": _delta_s_config(delta_s)}
+    _render(args, config, records, (header, rows))
     return 0
 
 
 def _cmd_kdist(args) -> int:
-    state, state_name = _resolve_state(args, default="bell")
-    if state.size != 4:
-        raise UsageError(f"the kdist command needs a 4-amplitude state, got {state.size}")
+    state, state_name = _resolve_state(args, "bell", arms=2)
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
     distribution = k_distribution(quasiprob_table_pair(state, delta_s))
+    ordered = [(k, w, _round_percent(w)) for k, w in sorted(distribution.weights.items(), reverse=True)]
+    lines = [f"K={k}: {percent:.1f}% (weight {_fmt(w)})" for k, w, percent in ordered]
+    lines += [f"sum of weights = {_fmt(distribution.total())}", f"mean K = {_fmt(distribution.mean())}"]
+    records = [{"k": k, "weight": w, "percent": percent} for k, w, percent in ordered]
+    rows = [[str(k), _fmt(w), f"{percent:.1f}"] for k, w, percent in ordered]
     config = {"state": state_name, "delta_s": _delta_s_config(delta_s)}
-    ordered = sorted(distribution.weights, reverse=True)
-
-    if args.format == "json":
-        data = [
-            {"k": k, "weight": distribution.weights[k], "percent": _round_percent(distribution.weights[k])}
-            for k in ordered
-        ]
-        _write([_json_text("kdist", config, data)], args.out)
-        return 0
-    if args.format == "csv":
-        rows = [
-            [str(k), _fmt(distribution.weights[k]), f"{_round_percent(distribution.weights[k]):.1f}"]
-            for k in ordered
-        ]
-        _write([_csv_text(["k", "weight", "percent"], rows)], args.out)
-        return 0
-    lines = [
-        f"K={k}: {_round_percent(distribution.weights[k]):.1f}% (weight {_fmt(distribution.weights[k])})"
-        for k in ordered
-    ]
-    lines.append(f"sum of weights = {_fmt(distribution.total())}")
-    lines.append(f"mean K = {_fmt(distribution.mean())}")
-    _write(["\n".join(lines) + "\n"], args.out)
+    _render(args, config, records, (["k", "weight", "percent"], rows), lines)
     return 0
 
 
 def _cmd_bound(args) -> int:
-    bound = classical_chsh_bound()
-    quantum = bell_expectation()
+    bound, quantum = classical_chsh_bound(), bell_expectation()
     margin = quantum - bound
-    if args.format == "json":
-        data = {"classical_bound": bound, "quantum_expectation": quantum, "violation_margin": margin}
-        _write([_json_text("bound", {}, data)], args.out)
-        return 0
-    _write(
-        [f"classical max K = {bound:g}; quantum <K> = {quantum:.6f}; violation margin = {margin:.6f}\n"],
-        args.out,
-    )
+    data = {"classical_bound": bound, "quantum_expectation": quantum, "violation_margin": margin}
+    line = f"classical max K = {bound:g}; quantum <K> = {quantum:.6f}; violation margin = {margin:.6f}"
+    _render(args, {}, data, lines=[line])
     return 0
 
 
@@ -437,16 +401,23 @@ def _check_results() -> list[tuple[str, bool, str]]:
 
 def _cmd_check(args) -> int:
     results = _check_results()
-    for name, ok, detail in results:
-        sys.stdout.write(f"{'PASS' if ok else 'FAIL'} {name}: {detail}\n")
     failed = sum(1 for _, ok, _ in results if not ok)
-    sys.stdout.write(f"{len(results) - failed}/{len(results)} checks passed\n")
+    lines = [f"{'PASS' if ok else 'FAIL'} {name}: {detail}" for name, ok, detail in results]
+    _render(args, {}, None, lines=[*lines, f"{len(results) - failed}/{len(results)} checks passed"])
     return 0 if failed == 0 else 1
 
 
-def _add_state_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--state", help=f"named input state: {', '.join(sorted(NAMED_STATES))}")
-    parser.add_argument("--state-file", help="JSON file with an 'amplitudes' list of [re, im] pairs")
+# Subcommands in help order: help, handler, --delta-s default, --grid default,
+# --format choices (the first is the default). A command with a resolution
+# also takes a state.
+_COMMANDS = {
+    "single": ("1D pointer density with s2 readout", _cmd_density, "0.6", DEFAULT_GRID_SINGLE, ("csv", "json")),
+    "pair": ("2D coincidence density with s2 readouts", _cmd_density, "2", DEFAULT_GRID_PAIR, ("csv", "json")),
+    "table": ("signed joint quasi-probability table", _cmd_table, "inf", None, ("csv", "json")),
+    "kdist": ("signed distribution of the CHSH combination", _cmd_kdist, "inf", None, ("text", "csv", "json")),
+    "bound": ("classical bound, quantum expectation, margin", _cmd_bound, None, None, ("text", "json")),
+    "check": ("run built-in consistency diagnostics", _cmd_check, None, None, ()),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -455,77 +426,41 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite-resolution polarization measurement statistics",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_single = sub.add_parser("single", help="1D pointer density with s2 readout")
-    _add_state_options(p_single)
-    p_single.add_argument("--delta-s", default="0.6", help="pointer resolution (positive)")
-    p_single.add_argument("--grid", default=DEFAULT_GRID_SINGLE, help="pointer grid LO:HI:STEP")
-    p_single.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_single.add_argument("--out", help="output path (default: stdout)")
-    p_single.set_defaults(handler=_cmd_single)
-
-    p_pair = sub.add_parser("pair", help="2D coincidence density with s2 readouts")
-    _add_state_options(p_pair)
-    p_pair.add_argument("--delta-s", default="2", help="pointer resolution (positive)")
-    p_pair.add_argument("--grid", default=DEFAULT_GRID_PAIR, help="arm-a grid LO:HI:STEP")
-    p_pair.add_argument("--grid-b", help="arm-b grid LO:HI:STEP (default: same as --grid)")
-    p_pair.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_pair.add_argument("--out", help="output path (default: stdout)")
-    p_pair.set_defaults(handler=_cmd_pair)
-
-    p_table = sub.add_parser("table", help="signed joint quasi-probability table")
-    _add_state_options(p_table)
-    p_table.add_argument("--system", choices=("single", "pair"), help="one photon or a pair")
-    p_table.add_argument("--delta-s", default="inf", help="positive number or 'inf'")
-    p_table.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_table.add_argument("--out", help="output path (default: stdout)")
-    p_table.set_defaults(handler=_cmd_table)
-
-    p_kdist = sub.add_parser("kdist", help="signed distribution of the CHSH combination")
-    _add_state_options(p_kdist)
-    p_kdist.add_argument("--delta-s", default="inf", help="positive number or 'inf'")
-    p_kdist.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    p_kdist.add_argument("--out", help="output path (default: stdout)")
-    p_kdist.set_defaults(handler=_cmd_kdist)
-
-    p_bound = sub.add_parser("bound", help="classical bound, quantum expectation, margin")
-    p_bound.add_argument("--format", choices=("text", "json"), default="text")
-    p_bound.add_argument("--out", help="output path (default: stdout)")
-    p_bound.set_defaults(handler=_cmd_bound)
-
-    p_check = sub.add_parser("check", help="run built-in consistency diagnostics")
-    p_check.set_defaults(handler=_cmd_check)
-
+    for name, (help_text, handler, delta_s, grid, formats) in _COMMANDS.items():
+        command = sub.add_parser(name, help=help_text)
+        # A command without --format and --out, like check, writes text to stdout.
+        command.set_defaults(handler=handler, format="text", out=None)
+        if delta_s:
+            command.add_argument("--state", help=f"named input state: {', '.join(sorted(NAMED_STATES))}")
+            command.add_argument("--state-file", help="JSON file with an 'amplitudes' list of [re, im] pairs")
+            if name == "table":
+                command.add_argument("--system", choices=("single", "pair"), help="one photon or a pair")
+            command.add_argument("--delta-s", default=delta_s, help="positive number, or 'inf' in table and kdist")
+        if grid:
+            command.add_argument("--grid", default=grid, help="pointer grid LO:HI:STEP (for pair: arm a)")
+            if name == "pair":
+                command.add_argument("--grid-b", help="arm-b grid LO:HI:STEP (default: same as --grid)")
+        if formats:
+            command.add_argument("--format", choices=formats, default=formats[0])
+            command.add_argument("--out", help="output path (default: stdout)")
     return parser
 
 
 def _merge_dash_values(argv: list[str]) -> list[str]:
-    # Join options with values like "-4:4:0.01" into one token so argparse
-    # does not mistake the leading dash for a flag.
+    # Join a value with a leading dash, like "-4:4:0.01" or "-inf", to its
+    # option so argparse does not take it for a flag.
     merged = []
-    skip = False
-    for i, token in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        follower = argv[i + 1] if i + 1 < len(argv) else ""
-        if (
-            token in ("--grid", "--grid-b", "--delta-s")
-            and len(follower) > 1
-            and follower[0] == "-"
-            and (follower[1].isdigit() or follower[1] == ".")
-        ):
-            merged.append(f"{token}={follower}")
-            skip = True
+    for token in argv:
+        if merged and merged[-1] in ("--grid", "--grid-b", "--delta-s") and token[:1] == "-" and token[:2] != "--":
+            merged[-1] += "=" + token
         else:
             merged.append(token)
     return merged
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = parser.parse_args(_merge_dash_values(argv))
+    args = build_parser().parse_args(_merge_dash_values(argv))
     try:
         return args.handler(args)
     except UsageError as exc:

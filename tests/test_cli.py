@@ -250,9 +250,13 @@ class TestErrorsAndExitCodes:
         assert code == 2 and "amplitudes must be finite" in err
         assert out == ""
 
-    @pytest.mark.parametrize("grid", ["0:1:inf", "0:inf:1", "-inf:0:1", "0:1:nan"])
+    @pytest.mark.parametrize(
+        "grid", ["0:1:inf", "0:inf:1", "-inf:0:1", "0:1:nan", "--grid -inf:0:1", "--grid -nan:0:1"]
+    )
     def test_non_finite_grid_is_usage_error(self, capsys, grid):
-        code, out, err = run_cli(capsys, "single", f"--grid={grid}")
+        # "--grid VALUE" passes a value with a leading dash as its own argument.
+        argv = grid.split(" ") if grid.startswith("--") else [f"--grid={grid}"]
+        code, out, err = run_cli(capsys, "single", *argv)
         assert code == 2 and "must be finite" in err
         assert out == ""
 
@@ -307,7 +311,7 @@ class TestErrorsAndExitCodes:
 
 class TestDeltaSRange:
     @pytest.mark.parametrize("command", ["single", "table", "kdist", "pair"])
-    @pytest.mark.parametrize("delta_s", ["1e-200", "1e200"])
+    @pytest.mark.parametrize("delta_s", ["1e-200", "1e200", "-1", "-inf"])
     def test_out_of_range_is_usage_error(self, capsys, command, delta_s):
         code, out, err = run_cli(capsys, command, "--delta-s", delta_s)
         assert code == 2 and "7.5e-155 to 1.3e154" in err
@@ -347,6 +351,18 @@ class TestClosedStdout:
         assert process.wait(timeout=60) == 4
         assert "Traceback" not in stderr
         assert "error: cannot write" in stderr
+
+    @pytest.mark.parametrize("command", ["bound", "check"])
+    def test_stdout_closed_at_start_exits_four_without_traceback(self, command):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # ">&-" closes file descriptor 1 before Python starts, so sys.stdout is None.
+        argv = ["sh", "-c", 'exec "$0" -m weakpol.cli "$1" >&-', sys.executable, command]
+        result = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        stderr = result.stderr.decode()
+        assert result.returncode == 4
+        assert "Traceback" not in stderr
+        assert stderr == "error: cannot write to standard output: it is closed\n"
 
 
 class TestDeterminism:

@@ -1,14 +1,17 @@
-"""Density output must equal, byte for byte, the whole-document serializers.
+"""Command output must equal, byte for byte, the whole-document serializers.
 
-The reference below builds every row as a list of Python floats and hands the
-document to ``csv.writer`` (``repr`` fields) or ``json.dumps(indent=2)``; the
-CLI streams the same text block by block.
+The density reference below builds every row as a list of Python floats and
+hands the document to ``csv.writer`` (``repr`` fields) or
+``json.dumps(indent=2)``; the CLI streams the same text block by block. The
+table, kdist and bound references write each format on its own, straight from
+the library results.
 """
 
 import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 from weakpol import cli
 from weakpol.measurement import (
+    LIMIT,
     PAIR_LABELS,
     SINGLE_LABELS,
     OutcomeDensity,
@@ -25,7 +29,15 @@ from weakpol.measurement import (
     coincidence_density,
     single_outcome_density,
 )
-from weakpol.polarization import bell_state, stokes_eigenstate
+from weakpol.polarization import bell_expectation, bell_state, classical_chsh_bound, stokes_eigenstate
+from weakpol.quasiprob import (
+    PAIR_COLUMN_LABELS,
+    PAIR_ROW_LABELS,
+    S1_CENTERS,
+    k_distribution,
+    quasiprob_table_pair,
+    quasiprob_table_single,
+)
 
 SINGLE_COLUMNS = ["s1m", "p_s2_plus", "p_s2_minus"]
 PAIR_COLUMNS = ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"]
@@ -141,3 +153,111 @@ def test_streamed_text_matches_reference_for_any_values(density, fmt):
     # A config string that dumps exactly like the rows placeholder of the streamer.
     config = {"state": "\0rows", "delta_s": 0.5}
     assert streamed_text(fmt, "x", config, density, columns) == reference_text(fmt, "x", config, density, columns)
+
+
+def csv_document(header, rows):
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def json_document(command, config, data):
+    return json.dumps({"command": command, "config": config, "data": data}, indent=2) + "\n"
+
+
+def reference_table(system, delta_s, fmt):
+    single = system == "single"
+    if single:
+        table = quasiprob_table_single(stokes_eigenstate(2, +1), delta_s)
+    else:
+        table = quasiprob_table_pair(bell_state(), delta_s)
+    delta_s_config = "inf" if math.isinf(delta_s) else delta_s
+    config = {"system": system, "state": "y+" if single else "bell", "delta_s": delta_s_config}
+    if fmt == "json":
+        if single:
+            records = [{"labels": {"s1": s1, "s2": s2}, "weight": w} for (s1, s2), w in table.entries.items()]
+        else:
+            records = [{"labels": {"a": list(a), "b": list(b)}, "weight": w} for (a, b), w in table.entries.items()]
+        return json_document("table", config, records)
+    if single:
+        header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
+        rows = [[f"{s2:+d}"] + [repr(table.entries[(s1, s2)]) for s1 in S1_CENTERS] for s2 in SINGLE_LABELS]
+    else:
+        header = ["(s1b,s2b)\\(s1a,s2a)"] + [f"({a[0]},{a[1]})" for a in PAIR_COLUMN_LABELS]
+        rows = [
+            [f"({b[0]},{b[1]})"] + [repr(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS] for b in PAIR_ROW_LABELS
+        ]
+    return csv_document(header, rows)
+
+
+def reference_kdist(delta_s, fmt):
+    distribution = k_distribution(quasiprob_table_pair(bell_state(), delta_s))
+    weights = distribution.weights
+    ordered = sorted(weights, reverse=True)
+    if fmt == "json":
+        data = [{"k": k, "weight": weights[k], "percent": cli._round_percent(weights[k])} for k in ordered]
+        return json_document("kdist", {"state": "bell", "delta_s": "inf" if math.isinf(delta_s) else delta_s}, data)
+    if fmt == "csv":
+        rows = [[str(k), repr(weights[k]), f"{cli._round_percent(weights[k]):.1f}"] for k in ordered]
+        return csv_document(["k", "weight", "percent"], rows)
+    lines = [f"K={k}: {cli._round_percent(weights[k]):.1f}% (weight {weights[k]!r})" for k in ordered]
+    lines += [f"sum of weights = {distribution.total()!r}", f"mean K = {distribution.mean()!r}"]
+    return "\n".join(lines) + "\n"
+
+
+def reference_bound(fmt):
+    bound, quantum = classical_chsh_bound(), bell_expectation()
+    margin = quantum - bound
+    if fmt == "json":
+        data = {"classical_bound": bound, "quantum_expectation": quantum, "violation_margin": margin}
+        return json_document("bound", {}, data)
+    return f"classical max K = {bound:g}; quantum <K> = {quantum:.6f}; violation margin = {margin:.6f}\n"
+
+
+def cli_stdout(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+@pytest.mark.parametrize("delta_s", ["inf", "1.5"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("system", ["single", "pair"])
+def test_table_matches_reference(capsys, system, fmt, delta_s):
+    out = cli_stdout(capsys, "table", "--system", system, "--delta-s", delta_s, "--format", fmt)
+    assert out == reference_table(system, LIMIT if delta_s == "inf" else float(delta_s), fmt)
+
+
+@pytest.mark.parametrize("delta_s", ["inf", "1.5"])
+@pytest.mark.parametrize("fmt", ["text", "csv", "json"])
+def test_kdist_matches_reference(capsys, fmt, delta_s):
+    out = cli_stdout(capsys, "kdist", "--delta-s", delta_s, "--format", fmt)
+    assert out == reference_kdist(LIMIT if delta_s == "inf" else float(delta_s), fmt)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_bound_matches_reference(capsys, fmt):
+    assert cli_stdout(capsys, "bound", "--format", fmt) == reference_bound(fmt)
+
+
+CHECK_LIMITS = [
+    ("completeness defect (delta_s=0.6)", "1e-06"),
+    ("completeness defect (delta_s=2)", "1e-06"),
+    ("closed-form oracle agreement", "1e-12"),
+    ("deconvolution matches analytic table (single)", "1e-08"),
+    ("deconvolution matches analytic table (pair)", "1e-06"),
+    ("table totals equal one", "1e-12"),
+    ("zero total weight at s1=0", "1e-12"),
+    ("density rebuilt from table weights", "1e-10"),
+    ("CHSH expectation equals 2*sqrt(2)", "1e-12"),
+]
+
+
+def test_check_line_layout(capsys):
+    lines = cli_stdout(capsys, "check").split("\n")
+    assert len(lines) == 12 and lines[-1] == ""
+    for line, (name, limit) in zip(lines, CHECK_LIMITS):
+        assert re.fullmatch(rf"PASS {re.escape(name)}: \d\.\d{{3}}e[+-]\d\d < {limit}", line), line
+    assert lines[9] == "PASS classical CHSH bound equals 2: brute force over 16 assignments"
+    assert lines[10] == "10/10 checks passed"
