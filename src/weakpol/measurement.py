@@ -77,6 +77,9 @@ class PointerGrid:
             raise ValueError(f"grid needs lo < hi, got [{self.lo}, {self.hi}]")
         if not self.step > 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
+        # Finite bounds can still be too far apart for (hi - lo)/step to be finite.
+        if not math.isfinite((self.hi - self.lo) / self.step):
+            raise ValueError(f"grid span (hi - lo)/step must be finite, got {self.lo}:{self.hi}:{self.step}")
 
     @property
     def count(self) -> int:

@@ -260,6 +260,25 @@ class TestErrorsAndExitCodes:
         assert code == 2 and "must be finite" in err
         assert out == ""
 
+    def test_grid_with_infinite_span_is_usage_error(self, capsys):
+        code, out, err = run_cli(capsys, "single", "--grid=-1e308:1e308:1")
+        assert code == 2 and err.startswith("error: grid span") and err.count("\n") == 1
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["single", "pair", "table", "kdist"])
+    def test_state_and_state_file_together_is_usage_error(self, capsys, tmp_path, command):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"amplitudes": [[0.5, 0.0], [0.5, 0.0], [0.5, 0.0], [0.5, 0.0]]}))
+        code, out, err = run_cli(capsys, command, "--state", "bell", "--state-file", str(path))
+        assert code == 2 and "not both" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("command", ["single", "pair", "table", "kdist"])
+    def test_empty_state_name_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--state", "")
+        assert code == 2 and "unknown state ''" in err
+        assert out == ""
+
     def test_unwritable_out_path_exits_four(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         code, out, err = run_cli(capsys, "single", "--grid", "-1:1:0.5", "--out", str(target))

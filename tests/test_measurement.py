@@ -45,6 +45,11 @@ class TestPointerGrid:
         with pytest.raises(ValueError, match="finite"):
             PointerGrid(lo, hi, step)
 
+    @pytest.mark.parametrize("lo,hi,step", [(-1e308, 1e308, 1.0), (0.0, 1e308, 1e-10)])
+    def test_rejects_finite_bounds_with_infinite_span(self, lo, hi, step):
+        with pytest.raises(ValueError, match="span"):
+            PointerGrid(lo, hi, step)
+
 
 class TestMeasurementKernel:
     def test_centered_kernel_on_sigma_x(self):

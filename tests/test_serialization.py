@@ -2,16 +2,21 @@
 
 The density reference below builds every row as a list of Python floats and
 hands the document to ``csv.writer`` (``repr`` fields) or
-``json.dumps(indent=2)``; the CLI streams the same text block by block. The
-table, kdist and bound references write each format on its own, straight from
-the library results.
+``json.dumps(indent=2)``; the CLI streams the same text block by block, with
+its number tokens from orjson where it is installed and from ``repr``
+otherwise, and the density tests run on both. The table, kdist and bound
+references write each format on its own, straight from the library results.
 """
 
 import csv
+import importlib.util
 import io
 import json
 import math
 import re
+import struct
+import sys
+import types
 
 import numpy as np
 import pytest
@@ -63,6 +68,26 @@ def reference_text(fmt, command, config, density, columns):
     return buffer.getvalue()
 
 
+HAVE_ORJSON = importlib.util.find_spec("orjson") is not None
+TOKEN_SOURCES = ("orjson", "repr") if HAVE_ORJSON else ("repr",)
+
+
+def on_each_token_source(produce):
+    """``produce()`` with number tokens from orjson, if it is installed, and from repr, by source."""
+    results = {}
+    for source in TOKEN_SOURCES:
+        with pytest.MonkeyPatch.context() as patch:
+            if source == "repr":
+                # None in sys.modules makes "import orjson" fail as if it were not installed.
+                patch.setitem(sys.modules, "orjson", None)
+            results[source] = produce()
+    return results
+
+
+def each_source(expected):
+    return dict.fromkeys(TOKEN_SOURCES, expected)
+
+
 def streamed_text(fmt, command, config, density, columns):
     return "".join(cli._density_text(fmt, command, config, density, columns))
 
@@ -75,29 +100,34 @@ def run_to_file(tmp_path, *argv):
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_single_matches_reference(tmp_path, fmt):
-    data = run_to_file(tmp_path, "single", "--delta-s", "0.6", "--grid", "-3:3:0.05", "--format", fmt)
+    data = on_each_token_source(
+        lambda: run_to_file(tmp_path, "single", "--delta-s", "0.6", "--grid", "-3:3:0.05", "--format", fmt)
+    )
     density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-3.0, 3.0, 0.05))
     config = {"state": "y+", "delta_s": 0.6, "grid": "-3.0:3.0:0.05"}
-    assert data == reference_text(fmt, "single", config, density, SINGLE_COLUMNS).encode("utf-8")
+    assert data == each_source(reference_text(fmt, "single", config, density, SINGLE_COLUMNS).encode("utf-8"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_pair_with_separate_arm_b_grid_matches_reference(tmp_path, fmt):
-    data = run_to_file(
-        tmp_path, "pair", "--delta-s", "1.3", "--grid", "-2:2:0.25", "--grid-b", "-1:1.5:0.5", "--format", fmt
-    )
+    argv = ["pair", "--delta-s", "1.3", "--grid", "-2:2:0.25", "--grid-b", "-1:1.5:0.5", "--format", fmt]
+    data = on_each_token_source(lambda: run_to_file(tmp_path, *argv))
     grid_a, grid_b = PointerGrid(-2.0, 2.0, 0.25), PointerGrid(-1.0, 1.5, 0.5)
     density = coincidence_density(bell_state(), 1.3, grid_a, grid_b)
     config = {"state": "bell", "delta_s": 1.3, "grid": "-2.0:2.0:0.25", "grid_b": "-1.0:1.5:0.5"}
-    assert data == reference_text(fmt, "pair", config, density, PAIR_COLUMNS).encode("utf-8")
+    assert data == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS).encode("utf-8"))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_stdout_matches_reference(capsys, fmt):
-    assert cli.main(["pair", "--delta-s", "2", "--grid", "-1:1:0.5", "--format", fmt]) == 0
+    def stdout():
+        assert cli.main(["pair", "--delta-s", "2", "--grid", "-1:1:0.5", "--format", fmt]) == 0
+        return capsys.readouterr().out
+
+    outputs = on_each_token_source(stdout)
     density = coincidence_density(bell_state(), 2.0, PointerGrid(-1.0, 1.0, 0.5), PointerGrid(-1.0, 1.0, 0.5))
     config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:0.5", "grid_b": "-1.0:1.0:0.5"}
-    assert capsys.readouterr().out == reference_text(fmt, "pair", config, density, PAIR_COLUMNS)
+    assert outputs == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS))
 
 
 SPECIAL_VALUES = [-0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, math.nan, math.inf, -math.inf, 0.1, -1e-05]
@@ -112,10 +142,10 @@ def test_special_values_single(tmp_path, monkeypatch, fmt):
     grid = PointerGrid(-1.0, 1.0, 0.5)
     density = OutcomeDensity((grid,), SINGLE_LABELS, special_values((grid.count, 2)))
     monkeypatch.setattr(cli, "single_outcome_density", lambda *args: density)
-    data = run_to_file(tmp_path, "single", "--grid", "-1:1:0.5", "--format", fmt)
+    data = on_each_token_source(lambda: run_to_file(tmp_path, "single", "--grid", "-1:1:0.5", "--format", fmt))
     config = {"state": "y+", "delta_s": 0.6, "grid": "-1.0:1.0:0.5"}
     expected = reference_text(fmt, "single", config, density, SINGLE_COLUMNS)
-    assert data == expected.encode("utf-8")
+    assert data == each_source(expected.encode("utf-8"))
     assert ("NaN" if fmt == "json" else "nan") in expected
 
 
@@ -124,10 +154,11 @@ def test_special_values_pair(tmp_path, monkeypatch, fmt):
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 1.0), PointerGrid(0.0, 0.5, 0.25)
     density = OutcomeDensity((grid_a, grid_b), PAIR_LABELS, special_values((grid_a.count, grid_b.count, 4)))
     monkeypatch.setattr(cli, "coincidence_density", lambda *args: density)
-    data = run_to_file(tmp_path, "pair", "--grid", "-1:1:1", "--grid-b", "0:0.5:0.25", "--format", fmt)
+    argv = ["pair", "--grid", "-1:1:1", "--grid-b", "0:0.5:0.25", "--format", fmt]
+    data = on_each_token_source(lambda: run_to_file(tmp_path, *argv))
     config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:1.0", "grid_b": "0.0:0.5:0.25"}
     expected = reference_text(fmt, "pair", config, density, PAIR_COLUMNS)
-    assert data == expected.encode("utf-8")
+    assert data == each_source(expected.encode("utf-8"))
     assert ("-Infinity" if fmt == "json" else "-inf") in expected
 
 
@@ -152,7 +183,72 @@ def test_streamed_text_matches_reference_for_any_values(density, fmt):
     columns = SINGLE_COLUMNS if len(density.grids) == 1 else PAIR_COLUMNS
     # A config string that dumps exactly like the rows placeholder of the streamer.
     config = {"state": "\0rows", "delta_s": 0.5}
-    assert streamed_text(fmt, "x", config, density, columns) == reference_text(fmt, "x", config, density, columns)
+    outputs = on_each_token_source(lambda: streamed_text(fmt, "x", config, density, columns))
+    assert outputs == each_source(reference_text(fmt, "x", config, density, columns))
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_streamed_text_spans_several_blocks(monkeypatch, fmt):
+    # 15 rows in blocks of 4: three full blocks and a short last one.
+    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+    grid_a, grid_b = PointerGrid(-1.0, 1.0, 0.5), PointerGrid(0.0, 1.0, 0.5)
+    density = coincidence_density(bell_state(), 0.7, grid_a, grid_b)
+    config = {"state": "bell", "delta_s": 0.7}
+    outputs = on_each_token_source(lambda: streamed_text(fmt, "pair", config, density, PAIR_COLUMNS))
+    assert outputs == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS))
+
+
+@pytest.mark.skipif(not HAVE_ORJSON, reason="orjson is not installed")
+def test_installed_orjson_passes_the_probe():
+    # Else density output falls back to repr, and the orjson tests above test that path twice.
+    assert cli._orjson() is not None
+
+
+def test_orjson_spelling_floats_otherwise_is_not_used(monkeypatch):
+    # A stand-in that spells floats as repr does ("1e-07"), unlike orjson 3.8 ("1e-7").
+    stand_in = types.SimpleNamespace(
+        OPT_SERIALIZE_NUMPY=0, dumps=lambda values, option: json.dumps(values.tolist(), separators=(",", ":")).encode()
+    )
+    monkeypatch.setitem(sys.modules, "orjson", stand_in)
+    assert cli._orjson() is None
+
+
+# orjson and repr spell a float differently when |x| is in [1e-9, 1e-4) or at
+# least 1e16; these are the edges of those bands and their neighbours.
+BAND_EDGE_VALUES = [
+    sign * value
+    for edge in (1e-9, 1e-5, 1e-4, 1e16)
+    for value in (math.nextafter(edge, 0.0), edge, math.nextafter(edge, math.inf))
+    for sign in (1.0, -1.0)
+]
+
+
+def float_from_bits(bits):
+    return struct.unpack("<d", bits.to_bytes(8, "little"))[0]
+
+
+# Floats from random bit patterns: every exponent of float64 equally likely.
+any_float64 = st.one_of(st.floats(), st.integers(0, 2**64 - 1).map(float_from_bits))
+
+
+@pytest.mark.skipif(not HAVE_ORJSON, reason="orjson is not installed")
+@pytest.mark.parametrize("number", [float.__repr__, json.dumps])
+def test_orjson_tokens_match_number_at_band_edges(number):
+    import orjson
+
+    assert cli._tokens(np.array(BAND_EDGE_VALUES), number, orjson).tolist() == list(map(number, BAND_EDGE_VALUES))
+
+
+@pytest.mark.skipif(not HAVE_ORJSON, reason="orjson is not installed")
+@settings(max_examples=300, deadline=None)
+@given(
+    values=arrays(np.float64, st.integers(1, 64), elements=any_float64),
+    number=st.sampled_from([float.__repr__, json.dumps]),
+)
+def test_orjson_tokens_match_number_over_the_float64_range(values, number):
+    import orjson
+
+    assert cli._tokens(values, number, orjson).tolist() == list(map(number, values.tolist()))
 
 
 def csv_document(header, rows):
