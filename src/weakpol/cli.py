@@ -4,13 +4,15 @@ Commands: single, pair, table, kdist, bound, check. Data commands serialize
 to CSV or JSON (floats in shortest round-trip form, so re-parsing reproduces
 the computed values exactly); bound and kdist default to short text
 summaries. single and pair share one handler, driven by the arm count.
-Density output is streamed in blocks of rows, so memory stays bounded by the
-values array rather than by the size of the text; the bytes equal
-``csv.writer`` over ``repr`` fields and ``json.dumps(indent=2)`` of the whole
-document. If the optional orjson package is installed (``pip install
-weakpol[fast]``), it writes the number tokens, about three times faster;
-where it spells a float differently from ``repr``, the token is padded or
-taken from ``repr``, so the bytes are the same with and without it. table,
+Density output is streamed from the library's chunks of values, in blocks
+of rows, so memory stays bounded by one chunk rather than by the grid or the
+size of the text; a density over the library's size budget is a usage
+error. The bytes equal ``csv.writer`` over ``repr`` fields and
+``json.dumps(indent=2)`` of the whole document. If the optional orjson
+package is installed (``pip install weakpol[fast]``), it writes the number
+tokens, about three times faster; where it spells a float differently from
+``repr``, the token is padded or taken from ``repr``, so the bytes are the
+same with and without it. table,
 kdist, bound and check build their result once and write it through
 ``_render`` in the format ``--format`` names. A write that fails removes the
 partial ``--out`` file. Exit codes: 0 success, 1 failed check, 2 usage error,
@@ -36,9 +38,9 @@ import numpy as np
 from .linalg import as_vector
 from .measurement import (
     LIMIT,
-    OutcomeDensity,
     PointerGrid,
     SINGLE_LABELS,
+    _density_chunks,
     coincidence_density,
     completeness_defect,
     eigenstate_density_closed_form,
@@ -116,6 +118,9 @@ def _parse_delta_s(text: str, allow_limit: bool) -> float:
 
 
 def _load_state_file(path: str) -> np.ndarray:
+    # Path("") is the current directory, which would be reported as the error.
+    if not path:
+        raise UsageError("--state-file needs a path, got ''")
     try:
         document = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
@@ -218,27 +223,33 @@ _BLOCK_ROWS = 1024
 def _tokens(values: np.ndarray, number, orjson) -> np.ndarray:
     """The text of each float in ``values``, in C order, as ``number`` writes it.
 
-    ``number`` is ``float.__repr__`` or, for JSON with non-finite values,
-    ``json.dumps``. Without ``orjson`` (the module, or None) every token comes
-    from ``number``. With it, one ``orjson.dumps`` gives the same shortest
-    round-trip digits as ``repr``, spelled differently in three bands: for
-    |x| in [1e-9, 1e-5) it writes a one-digit exponent (``1e-9``), which is
-    padded to two; for |x| in [1e-5, 1e-4) (``0.00001``), |x| >= 1e16
-    (``1e16``) and non-finite values (``null``) the token comes from ``number``.
+    ``number`` is ``float.__repr__`` or ``json.dumps``. The two agree on
+    finite floats, so ``number`` writes only the non-finite tokens, and
+    ``repr`` the others. Without ``orjson`` (the module, or None) every
+    finite token comes from ``repr``. With it, one ``orjson.dumps`` gives the
+    same shortest round-trip digits as ``repr``, spelled differently in three
+    bands: for |x| in [1e-9, 1e-5) it writes a one-digit exponent (``1e-9``),
+    which is padded to two; for |x| in [1e-5, 1e-4) (``0.00001``), |x| >= 1e16
+    (``1e16``) and non-finite values (``null``) the token comes from ``repr``.
     """
     flat = np.ravel(values)
     if orjson is None:
-        return np.fromiter(map(number, flat.tolist()), dtype=object, count=flat.size)
-    tokens = np.array(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(","), dtype=object)
-    magnitude = np.abs(flat)
-    short = (magnitude >= 1e-9) & (magnitude < 1e-5)
-    if short.any():
-        padded = orjson.dumps(flat[short], option=orjson.OPT_SERIALIZE_NUMPY).decode()
-        tokens[short] = padded[1:-1].replace("e-", "e-0").split(",")
-    # NaN fails every comparison, so it is taken from number with the infinities.
-    other = ~((magnitude < 1e-5) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
-    if other.any():
-        tokens[other] = list(map(number, flat[other].tolist()))
+        tokens = np.fromiter(map(float.__repr__, flat.tolist()), dtype=object, count=flat.size)
+    else:
+        tokens = np.array(orjson.dumps(flat, option=orjson.OPT_SERIALIZE_NUMPY).decode()[1:-1].split(","), dtype=object)
+        magnitude = np.abs(flat)
+        short = (magnitude >= 1e-9) & (magnitude < 1e-5)
+        if short.any():
+            padded = orjson.dumps(flat[short], option=orjson.OPT_SERIALIZE_NUMPY).decode()
+            tokens[short] = padded[1:-1].replace("e-", "e-0").split(",")
+        # NaN fails every comparison, so it is taken from repr with the infinities.
+        other = ~((magnitude < 1e-5) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
+        if other.any():
+            tokens[other] = list(map(float.__repr__, flat[other].tolist()))
+    # Per block, so that a streamed density needs no pass over all its values first.
+    special = ~np.isfinite(flat)
+    if special.any():
+        tokens[special] = list(map(number, flat[special].tolist()))
     return tokens
 
 
@@ -266,43 +277,56 @@ def _orjson():
 
 
 def _density_rows(
-    density: OutcomeDensity, lead: str, sep: str, trail: str, joiner: str, number
+    grids: list[PointerGrid], chunks: Iterable[np.ndarray], lead: str, sep: str, trail: str, joiner: str, number
 ) -> Iterator[str]:
     """Rows of a density as text, streamed in blocks of up to ``_BLOCK_ROWS`` rows.
 
+    ``chunks`` are the values in consecutive runs of first-arm points, each of
+    shape (run length, other grid counts..., labels), as
+    ``measurement._density_chunks`` yields them; one chunk is held at a time.
     A row is ``lead + sep.join(fields) + trail``: the grid coordinate of each
     arm, then the value of each label formatted by ``number``. Rows are
-    separated by ``joiner``, within and between blocks. Coordinate text is
-    formatted once per arm.
+    separated by ``joiner``, within and between blocks. The first arm's
+    coordinates are formatted per chunk, the other arms' once.
     """
     orjson = _orjson()
-    counts = [grid.count for grid in density.grids]
-    coordinates = [_tokens(grid.points(), number, orjson) + sep for grid in density.grids]
-    values = density.values.reshape(math.prod(counts), -1)
-    (rows, sheets), arms = values.shape, len(counts)
-    # A row's parts: each coordinate with its sep, the values with a sep
-    # between them, then the break to the next row, which holds its lead.
+    first = grids[0].points()
+    others = [_tokens(grid.points(), number, orjson) + sep for grid in grids[1:]]
+    arms = len(grids)
+    # A row's parts: the break from the previous row, which ends with this
+    # row's lead, each coordinate with its sep, then the values with a sep
+    # between them. The first row has only the lead.
     row_break = trail + joiner + lead
-    parts = np.full((min(rows, _BLOCK_ROWS), arms + 2 * sheets), sep, dtype=object)
-    parts[:, -1] = row_break
-    for start in range(0, rows, len(parts)):
-        stop = min(start + len(parts), rows)
-        block = parts[: stop - start]
-        for axis, index in enumerate(np.unravel_index(np.arange(start, stop), counts)):
-            block[:, axis] = coordinates[axis][index]
-        block[:, arms::2] = _tokens(values[start:stop], number, orjson).reshape(stop - start, sheets)
-        text = "".join(block.ravel().tolist())
-        if start == 0:
-            text = lead + text
-        yield text if stop < rows else text[: len(text) - len(row_break)] + trail
+    skip = len(row_break) - len(lead)
+    done = 0
+    for chunk in chunks:
+        coordinates = [_tokens(first[done : done + len(chunk)], number, orjson) + sep, *others]
+        counts, done = chunk.shape[:-1], done + len(chunk)
+        values = chunk.reshape(-1, chunk.shape[-1])
+        rows, sheets = values.shape
+        parts = np.full((min(rows, _BLOCK_ROWS), arms + 2 * sheets), sep, dtype=object)
+        parts[:, 0] = row_break
+        for start in range(0, rows, len(parts)):
+            stop = min(start + len(parts), rows)
+            block = parts[: stop - start]
+            for axis, index in enumerate(np.unravel_index(np.arange(start, stop), counts)):
+                block[:, axis + 1] = coordinates[axis][index]
+            block[:, arms + 1 :: 2] = _tokens(values[start:stop], number, orjson).reshape(stop - start, sheets)
+            yield "".join(block.ravel().tolist())[skip:]
+            skip = 0
+        # Else the loop holds this chunk while the next one is computed.
+        del chunk, values
+    yield trail
 
 
 # Stands in for the rows when the JSON head and tail are rendered.
 _ROWS_PLACEHOLDER = "\0rows"
 
 
-def _density_text(fmt: str, command: str, config: dict, density: OutcomeDensity, columns: list[str]) -> Iterator[str]:
-    """The CSV or JSON document of a density, streamed block by block.
+def _density_text(
+    fmt: str, command: str, config: dict, grids: list[PointerGrid], chunks: Iterable[np.ndarray], columns: list[str]
+) -> Iterator[str]:
+    """The CSV or JSON document of a density, streamed chunk by chunk, block by block.
 
     CSV equals ``csv.writer(lineterminator="\\n")`` over ``repr`` fields. JSON
     equals ``_json_text`` of ``{"columns": columns, "rows": [[coordinates...,
@@ -311,17 +335,16 @@ def _density_text(fmt: str, command: str, config: dict, density: OutcomeDensity,
     """
     if fmt == "csv":
         yield _csv_text(columns, [])
-        yield from _density_rows(density, "", ",", "\n", "", float.__repr__)
+        yield from _density_rows(grids, chunks, "", ",", "\n", "", float.__repr__)
         return
     text = _json_text(command, config, {"columns": columns, "rows": [_ROWS_PLACEHOLDER]})
     # The rows are the last value in the document, so the last match is theirs.
     head, _, tail = text.rpartition(json.dumps(_ROWS_PLACEHOLDER))
     indent = head[head.rindex("\n"):]
     field = indent + "  "
-    # json writes non-finite floats as NaN/Infinity/-Infinity, which repr does not.
-    number = float.__repr__ if np.isfinite(density.values).all() else json.dumps
     yield head
-    yield from _density_rows(density, "[" + field, "," + field, indent + "]", "," + indent, number)
+    # json writes non-finite floats as NaN/Infinity/-Infinity, which repr does not.
+    yield from _density_rows(grids, chunks, "[" + field, "," + field, indent + "]", "," + indent, json.dumps)
     yield tail
 
 
@@ -340,10 +363,14 @@ def _cmd_density(args) -> int:
     grids = [_parse_grid(args.grid)]
     if arms == 2:
         grids.append(_parse_grid(args.grid_b) if args.grid_b else grids[0])
-    density = (single_outcome_density if arms == 1 else coincidence_density)(state, delta_s, *grids)
+    try:
+        chunks = _density_chunks(state, delta_s, grids)
+    except ValueError as exc:
+        # The state and delta_s are checked above; this is the size budget.
+        raise UsageError(str(exc)) from None
     config = {"state": state_name, "delta_s": delta_s}
     config.update((key, f"{grid.lo}:{grid.hi}:{grid.step}") for key, grid in zip(("grid", "grid_b"), grids))
-    _write(_density_text(args.format, args.command, config, density, columns), args.out)
+    _write(_density_text(args.format, args.command, config, grids, chunks, columns), args.out)
     return 0
 
 

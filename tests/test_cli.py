@@ -7,6 +7,8 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +16,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weakpol import cli
-from weakpol.measurement import PointerGrid, single_outcome_density
-from weakpol.polarization import stokes_eigenstate
+from weakpol import cli, measurement
+from weakpol.measurement import PointerGrid, coincidence_density, single_outcome_density
+from weakpol.polarization import bell_state, stokes_eigenstate
 from weakpol.quasiprob import IllConditionedDesignError
 
 
@@ -97,6 +99,60 @@ class TestPairCommand:
         _, rows = parse_csv(out)
         assert len(rows) == 15
         assert {row[1] for row in rows} == {"-1.0", "0.0", "1.0"}
+
+
+class TestChunkedDensityOutput:
+    """Densities on either side of the one-chunk limit (2**20 cells) print the library's values exactly."""
+
+    @pytest.mark.parametrize(
+        "grids,fmt,chunked",
+        [
+            ((PointerGrid(-2, 2, 4 / 511), PointerGrid(-2, 2, 4 / 511)), "csv", False),
+            ((PointerGrid(-2, 2, 4 / 511), PointerGrid(-2, 2, 4 / 512)), "json", True),
+            ((PointerGrid(-14, 14, 28 / 2048), PointerGrid(-3, 3, 6 / 127)), "csv", True),
+            ((PointerGrid(-3, 3, 6 / 99), PointerGrid(-14, 14, 28 / 2620)), "json", False),
+            ((PointerGrid(-6, 6, 12 / 2**19),), "csv", True),
+            ((PointerGrid(-6, 6, 12 / 2**19),), "json", True),
+        ],
+        ids=["pair-512x512", "pair-512x513", "pair-2049x128", "pair-100x2621", "single-524289", "single-524289"],
+    )
+    def test_output_parses_to_library_values(self, capsys, grids, fmt, chunked):
+        state, delta_s = (stokes_eigenstate(2, +1), 0.6) if len(grids) == 1 else (bell_state(), 2.0)
+        expected = (single_outcome_density if len(grids) == 1 else coincidence_density)(state, delta_s, *grids)
+        cells = expected.values.size
+        assert (cells > 2**20) == chunked and abs(cells - 2**20) < 2**12
+        runs = sum(1 for _ in measurement._density_chunks(state, delta_s, grids))
+        assert (runs > 1) == chunked
+
+        argv = ["pair" if len(grids) == 2 else "single", "--delta-s", repr(delta_s), "--format", fmt]
+        for option, grid in zip(("--grid", "--grid-b"), grids):
+            argv.append(f"{option}={grid.lo!r}:{grid.hi!r}:{grid.step!r}")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        if fmt == "csv":
+            rows = np.loadtxt(io.StringIO(out), delimiter=",", skiprows=1)
+        else:
+            rows = np.array(json.loads(out)["data"]["rows"])
+        coordinates = np.meshgrid(*(grid.points() for grid in grids), indexing="ij")
+        assert np.array_equal(rows[:, : len(grids)], np.stack([c.ravel() for c in coordinates], axis=1))
+        assert np.array_equal(rows[:, len(grids) :], expected.values.reshape(-1, expected.values.shape[-1]))
+
+
+    def test_each_chunk_is_dropped_before_the_next_is_computed(self):
+        held = []
+
+        def chunks():
+            for _ in range(4):
+                chunk = np.full((1, 2), 0.25)
+                alive = weakref.ref(chunk)
+                yield chunk
+                del chunk
+                # The writer has asked for the next chunk: it should hold none.
+                held.append(alive() is not None)
+
+        text = "".join(cli._density_rows([PointerGrid(0.0, 3.0, 1.0)], chunks(), "", ",", "\n", "", float.__repr__))
+        assert text == "0.0,0.25,0.25\n1.0,0.25,0.25\n2.0,0.25,0.25\n3.0,0.25,0.25\n"
+        assert held == [False] * 4
 
 
 class TestTableCommand:
@@ -279,6 +335,66 @@ class TestErrorsAndExitCodes:
         assert code == 2 and "unknown state ''" in err
         assert out == ""
 
+    @pytest.mark.parametrize("command", ["single", "pair", "table", "kdist"])
+    def test_empty_state_file_path_is_usage_error(self, capsys, command):
+        code, out, err = run_cli(capsys, command, "--state-file", "")
+        assert code == 2 and err == "error: --state-file needs a path, got ''\n"
+        assert out == ""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--grid=-14:14:1e-7"],
+            ["single", "--grid=-7.5:7.5:1e-5"],
+            ["pair", "--grid=-14:14:1e-4"],
+            ["pair", "--grid-b=-14:14:1e-5"],
+        ],
+        ids=["single-280M-points", "single-1.5M-points", "pair-280k-points-per-arm", "pair-2.8M-points-in-arm-b"],
+    )
+    def test_density_over_the_size_budget_is_usage_error(self, capsys, tmp_path, argv):
+        # -14:14:1e-7 is 280M points: about 2 GiB of factors before the budget check existed.
+        # -7.5:7.5:1e-5 is 1.5M points, 3M cells: over the points budget only.
+        target = tmp_path / "out.csv"
+        tracemalloc.start()
+        try:
+            code, out, err = run_cli(capsys, *argv, "--out", str(target))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2 and "over the size budget" in err and err.count("\n") == 1
+        assert out == "" and not target.exists()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize(
+        "argv", [["--delta-s", "1e-300"], ["--delta-s", "inf"], ["--state-file", "missing.json"], ["--state", "y+"]]
+    )
+    def test_rejected_input_creates_no_out_file(self, capsys, tmp_path, argv):
+        target = tmp_path / "out.csv"
+        code, out, err = run_cli(capsys, "pair", *argv, "--out", str(target))
+        assert code == 2 and err.startswith("error: ") and err.count("\n") == 1
+        assert out == "" and not target.exists()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        bounds=st.tuples(st.floats(), st.floats(), st.floats()),
+        command=st.sampled_from(["single", "pair"]),
+    )
+    def test_any_float_grid_exits_zero_or_two(self, tmp_path_factory, bounds, command):
+        # A budget of 64 KiB (4096 cells, 327 points per grid) keeps accepted grids small.
+        target = tmp_path_factory.mktemp("grid") / "out.csv"
+        text = ":".join(map(repr, bounds))
+        stderr = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(measurement, "_BUDGET_BYTES", 2**16)
+            patch.setattr(sys, "stderr", stderr)
+            code = cli.main([command, f"--grid={text}", "--out", str(target)])
+        assert code in (0, 2)
+        assert target.exists() == (code == 0)
+        if code == 2:
+            assert stderr.getvalue().startswith("error: ") and stderr.getvalue().count("\n") == 1
+        else:
+            assert stderr.getvalue() == ""
+
     def test_unwritable_out_path_exits_four(self, capsys, tmp_path):
         target = tmp_path / "missing" / "out.csv"
         code, out, err = run_cli(capsys, "single", "--grid", "-1:1:0.5", "--out", str(target))
@@ -292,22 +408,22 @@ class TestErrorsAndExitCodes:
         assert code == 4 and "cannot write" in err
 
     def test_write_error_mid_stream_removes_partial_file(self, capsys, tmp_path, monkeypatch):
-        def fail_after_first_block(*args):
-            yield "s1m,p_s2_plus,p_s2_minus\n"
+        def fail_after_first_chunk(*args):
+            yield np.full((1, 2), 0.25)
             raise OSError(errno.ENOSPC, "No space left on device")
 
-        monkeypatch.setattr(cli, "_density_text", fail_after_first_block)
+        monkeypatch.setattr(cli, "_density_chunks", fail_after_first_chunk)
         target = tmp_path / "out.csv"
         code, _, err = run_cli(capsys, "single", "--out", str(target))
         assert code == 4 and "No space left" in err
         assert not target.exists()
 
     def test_exception_mid_stream_removes_partial_file(self, tmp_path, monkeypatch):
-        def fail_after_first_block(*args):
-            yield "s1m,p_s2_plus,p_s2_minus\n"
+        def fail_after_first_chunk(*args):
+            yield np.full((1, 2), 0.25)
             raise RuntimeError("formatting failed")
 
-        monkeypatch.setattr(cli, "_density_text", fail_after_first_block)
+        monkeypatch.setattr(cli, "_density_chunks", fail_after_first_chunk)
         target = tmp_path / "out.csv"
         with pytest.raises(RuntimeError, match="formatting failed"):
             cli.main(["single", "--out", str(target)])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from weakpol import measurement
 from weakpol.measurement import (
     LIMIT,
     PAIR_LABELS,
@@ -202,6 +204,58 @@ class TestCoincidenceDensity:
         grid = PointerGrid(-8, 8, 0.5)
         with pytest.raises(ValueError, match="dimension 4"):
             coincidence_density(stokes_eigenstate(2, +1), 1.0, grid, grid)
+
+
+class TestDensityChunks:
+    @staticmethod
+    def drain_peak(points):
+        grid = PointerGrid(-14, 14, 28 / (points - 1))
+        tracemalloc.start()
+        try:
+            for _ in measurement._density_chunks(bell_state(), 2.0, (grid, grid)):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_draining_the_chunks_holds_a_few_chunks_at_any_grid_size(self):
+        # A chunk's complex amplitudes take 16 bytes per cell.
+        chunk_bytes = 16 * measurement._CHUNK_CELLS
+        small, large = self.drain_peak(801), self.drain_peak(1501)
+        assert large < 3 * chunk_bytes
+        assert large < 1.1 * small
+
+    def test_chunks_are_runs_of_first_arm_points_within_the_chunk_size(self):
+        grid_a, grid_b = PointerGrid(-14, 14, 0.05), PointerGrid(-3, 3, 0.01)
+        chunks = list(measurement._density_chunks(bell_state(), 2.0, (grid_a, grid_b)))
+        assert len(chunks) > 1 and all(chunk.size <= measurement._CHUNK_CELLS for chunk in chunks)
+        assert {chunk.shape[1:] for chunk in chunks} == {(601, 4)}
+        assert sum(len(chunk) for chunk in chunks) == 561
+
+    @pytest.mark.parametrize("arms,points", [(1, 2**19 + 1), (2, 513)])
+    def test_chunks_equal_the_density_in_one_piece(self, monkeypatch, arms, points):
+        # 2**19 + 1 points of one arm split into runs of 131072 would leave a last run of one point.
+        grids = (PointerGrid(-6, 6, 12 / (points - 1)),) * arms
+        state = stokes_eigenstate(2, +1) if arms == 1 else bell_state()
+        chunks = list(measurement._density_chunks(state, 0.6, grids))
+        monkeypatch.setattr(measurement, "_ONE_CHUNK_CELLS", math.inf)
+        (whole,) = measurement._density_chunks(state, 0.6, grids)
+        assert len(chunks) > 1 and np.array_equal(np.concatenate(chunks), whole)
+
+    def test_a_lone_chunk_is_the_density(self, monkeypatch):
+        chunk = np.ones((3, 2))
+        monkeypatch.setattr(measurement, "_density_chunks", lambda *args: iter([chunk]))
+        assert single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-1, 1, 1)).values is chunk
+
+    @pytest.mark.parametrize("grid", [PointerGrid(-14, 14, 1e-7), PointerGrid(-14, 14, 0.005)])
+    def test_over_the_size_budget_raises_before_allocating(self, grid):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the size budget"):
+                coincidence_density(bell_state(), 2.0, grid, grid)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestNonnegativity:

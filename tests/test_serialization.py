@@ -88,8 +88,10 @@ def each_source(expected):
     return dict.fromkeys(TOKEN_SOURCES, expected)
 
 
-def streamed_text(fmt, command, config, density, columns):
-    return "".join(cli._density_text(fmt, command, config, density, columns))
+def streamed_text(fmt, command, config, density, columns, runs=1):
+    """The CLI's text of ``density``, fed to it in ``runs`` chunks of first-arm points."""
+    chunks = np.array_split(density.values, runs)
+    return "".join(cli._density_text(fmt, command, config, density.grids, chunks, columns))
 
 
 def run_to_file(tmp_path, *argv):
@@ -141,7 +143,7 @@ def special_values(shape):
 def test_special_values_single(tmp_path, monkeypatch, fmt):
     grid = PointerGrid(-1.0, 1.0, 0.5)
     density = OutcomeDensity((grid,), SINGLE_LABELS, special_values((grid.count, 2)))
-    monkeypatch.setattr(cli, "single_outcome_density", lambda *args: density)
+    monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(density.values, 2)))
     data = on_each_token_source(lambda: run_to_file(tmp_path, "single", "--grid", "-1:1:0.5", "--format", fmt))
     config = {"state": "y+", "delta_s": 0.6, "grid": "-1.0:1.0:0.5"}
     expected = reference_text(fmt, "single", config, density, SINGLE_COLUMNS)
@@ -153,7 +155,7 @@ def test_special_values_single(tmp_path, monkeypatch, fmt):
 def test_special_values_pair(tmp_path, monkeypatch, fmt):
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 1.0), PointerGrid(0.0, 0.5, 0.25)
     density = OutcomeDensity((grid_a, grid_b), PAIR_LABELS, special_values((grid_a.count, grid_b.count, 4)))
-    monkeypatch.setattr(cli, "coincidence_density", lambda *args: density)
+    monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(density.values, 2)))
     argv = ["pair", "--grid", "-1:1:1", "--grid-b", "0:0.5:0.25", "--format", fmt]
     data = on_each_token_source(lambda: run_to_file(tmp_path, *argv))
     config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:1.0", "grid_b": "0.0:0.5:0.25"}
@@ -178,12 +180,13 @@ def densities(draw):
 
 
 @settings(max_examples=200, deadline=None)
-@given(density=densities(), fmt=st.sampled_from(["csv", "json"]))
-def test_streamed_text_matches_reference_for_any_values(density, fmt):
+@given(density=densities(), fmt=st.sampled_from(["csv", "json"]), data=st.data())
+def test_streamed_text_matches_reference_for_any_values(density, fmt, data):
     columns = SINGLE_COLUMNS if len(density.grids) == 1 else PAIR_COLUMNS
     # A config string that dumps exactly like the rows placeholder of the streamer.
     config = {"state": "\0rows", "delta_s": 0.5}
-    outputs = on_each_token_source(lambda: streamed_text(fmt, "x", config, density, columns))
+    runs = data.draw(st.integers(1, density.grids[0].count), label="runs")
+    outputs = on_each_token_source(lambda: streamed_text(fmt, "x", config, density, columns, runs))
     assert outputs == each_source(reference_text(fmt, "x", config, density, columns))
 
 
@@ -194,7 +197,8 @@ def test_streamed_text_spans_several_blocks(monkeypatch, fmt):
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 0.5), PointerGrid(0.0, 1.0, 0.5)
     density = coincidence_density(bell_state(), 0.7, grid_a, grid_b)
     config = {"state": "bell", "delta_s": 0.7}
-    outputs = on_each_token_source(lambda: streamed_text(fmt, "pair", config, density, PAIR_COLUMNS))
+    # Runs of 2, 2 and 1 arm-a points: blocks end with each chunk, as well as every 4 rows.
+    outputs = on_each_token_source(lambda: streamed_text(fmt, "pair", config, density, PAIR_COLUMNS, runs=3))
     assert outputs == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS))
 
 
