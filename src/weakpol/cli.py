@@ -134,6 +134,9 @@ def _load_state_file(path: str) -> np.ndarray:
         )
     try:
         state = np.array([complex(re, im) for re, im in amplitudes])
+        # complex() reads JSON true and false as 1 and 0.
+        if any(isinstance(part, bool) for pair in amplitudes for part in pair):
+            raise TypeError
     except (TypeError, ValueError, OverflowError):
         raise UsageError(f"state file {path!r}: each amplitude must be an [re, im] pair") from None
     if not np.isfinite(state).all():
@@ -360,9 +363,9 @@ def _cmd_density(args) -> int:
     arms, default_state, columns = _DENSITY[args.command]
     state, state_name = _resolve_state(args, default_state, arms)
     delta_s = _parse_delta_s(args.delta_s, allow_limit=False)
-    grids = [_parse_grid(args.grid)]
-    if arms == 2:
-        grids.append(_parse_grid(args.grid_b) if args.grid_b else grids[0])
+    first = _parse_grid(args.grid)
+    # Every arm after the first reads --grid-b, which defaults to --grid.
+    grids = [first] + [first if args.grid_b is None else _parse_grid(args.grid_b)] * (arms - 1)
     try:
         chunks = _density_chunks(state, delta_s, grids)
     except ValueError as exc:
@@ -460,39 +463,28 @@ def _check_results() -> list[tuple[str, bool, str]]:
         )
     record("closed-form oracle agreement", worst, 1e-12)
 
-    grid_1d = PointerGrid(-8, 8, 0.01)
-    recovered = deconvolve(single_outcome_density(yplus, 1.0, grid_1d), 1.0)
-    analytic = quasiprob_table_single(yplus, 1.0)
-    diff = max(abs(recovered.entries[k] - analytic.entries[k]) for k in analytic.entries)
-    record("deconvolution matches analytic table (single)", diff, 1e-8)
-
-    pair = bell_state()
-    grid_2d = PointerGrid(-8, 8, 0.05)
-    recovered_pair = deconvolve(coincidence_density(pair, 1.0, grid_2d, grid_2d), 1.0)
-    analytic_pair = quasiprob_table_pair(pair, 1.0)
-    diff = max(abs(recovered_pair.entries[k] - analytic_pair.entries[k]) for k in analytic_pair.entries)
-    record("deconvolution matches analytic table (pair)", diff, 1e-6)
-
-    limit_single = quasiprob_table_single(yplus, LIMIT)
-    limit_pair = quasiprob_table_pair(pair, LIMIT)
-    record("table totals equal one", max(abs(limit_single.total - 1), abs(limit_pair.total - 1)), 1e-12)
-
-    zero_single = abs(limit_single.entries[(0, 1)] + limit_single.entries[(0, -1)])
-    zero_a = abs(sum(w for (la, lb), w in limit_pair.entries.items() if la[0] == 0))
-    zero_b = abs(sum(w for (la, lb), w in limit_pair.entries.items() if lb[0] == 0))
-    record("zero total weight at s1=0", max(zero_single, zero_a, zero_b), 1e-12)
-
-    single_grid = PointerGrid(-6, 6, 0.01)
-    table06 = quasiprob_table_single(yplus, 0.6)
-    rebuilt = reconstruct_density(table06, single_grid)
-    direct = single_outcome_density(yplus, 0.6, single_grid)
-    err = float(np.max(np.abs(rebuilt.values - direct.values)))
-    pair_grid = PointerGrid(-14, 14, 0.05)
-    table_pair = quasiprob_table_pair(pair, 2.0)
-    rebuilt_pair = reconstruct_density(table_pair, pair_grid, pair_grid)
-    direct_pair = coincidence_density(pair, 2.0, pair_grid, pair_grid)
-    err = max(err, float(np.max(np.abs(rebuilt_pair.values - direct_pair.values))))
-    record("density rebuilt from table weights", err, 1e-10)
+    # Per arm count: name, state, table and density functions, the grid and limit of the
+    # deconvolution at delta_s = 1, and the grid and delta_s of the rebuild.
+    cases = [
+        ("single", yplus, quasiprob_table_single, single_outcome_density, (-8, 8, 0.01), 1e-8, (-6, 6, 0.01), 0.6),
+        ("pair", bell_state(), quasiprob_table_pair, coincidence_density, (-8, 8, 0.05), 1e-6, (-14, 14, 0.05), 2.0),
+    ]
+    totals, zeros, rebuilds = [], [], []
+    for arms, (name, state, table, density, fit_grid, fit_limit, grid, delta_s) in enumerate(cases, 1):
+        fit_grids, grids = [PointerGrid(*fit_grid)] * arms, [PointerGrid(*grid)] * arms
+        recovered, analytic = deconvolve(density(state, 1.0, *fit_grids), 1.0), table(state, 1.0)
+        diff = max(abs(recovered.entries[k] - analytic.entries[k]) for k in analytic.entries)
+        record(f"deconvolution matches analytic table ({name})", diff, fit_limit)
+        limit = table(state, LIMIT)
+        totals.append(abs(limit.total - 1))
+        # Each arm's s1 in a key: (s1, s2) for one photon, ((s1a, s2a), (s1b, s2b)) for a pair.
+        s1 = [np.reshape(key, (-1, 2))[:, 0] for key in limit.entries]
+        zeros += [abs(sum(w for s, w in zip(s1, limit.entries.values()) if s[arm] == 0)) for arm in range(arms)]
+        rebuilt = reconstruct_density(table(state, delta_s), *grids).values
+        rebuilds.append(float(np.max(np.abs(rebuilt - density(state, delta_s, *grids).values))))
+    record("table totals equal one", max(totals), 1e-12)
+    record("zero total weight at s1=0", max(zeros), 1e-12)
+    record("density rebuilt from table weights", max(rebuilds), 1e-10)
 
     record("CHSH expectation equals 2*sqrt(2)", abs(bell_expectation() - 2.0 * math.sqrt(2.0)), 1e-12)
     results.append(("classical CHSH bound equals 2", classical_chsh_bound() == 2.0, "brute force over 16 assignments"))
@@ -529,7 +521,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (help_text, handler, delta_s, grid, formats) in _COMMANDS.items():
         command = sub.add_parser(name, help=help_text)
         # A command without --format and --out, like check, writes text to stdout.
-        command.set_defaults(handler=handler, format="text", out=None)
+        command.set_defaults(handler=handler, format="text", out=None, grid_b=None)
         if delta_s:
             command.add_argument("--state", help=f"named input state: {', '.join(sorted(NAMED_STATES))}")
             command.add_argument("--state-file", help="JSON file with an 'amplitudes' list of [re, im] pairs")

@@ -19,8 +19,9 @@ density evaluation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
@@ -29,9 +30,21 @@ from .polarization import stokes_eigenstate, stokes_operator
 
 LIMIT = math.inf
 
-# Single-photon readout labels (s2 outcomes) and the pair sheets (s2a, s2b).
+# Single-photon readout labels (s2 outcomes).
 SINGLE_LABELS = (1, -1)
-PAIR_LABELS = ((1, 1), (1, -1), (-1, 1), (-1, -1))
+
+
+def _bare(labels: Iterable[tuple]) -> tuple:
+    """Outcome labels from their per-arm parts; a one-photon label is its lone part."""
+    return tuple(label[0] if len(label) == 1 else label for label in labels)
+
+
+def _readout_labels(arms: int) -> tuple:
+    """The readout sheets of ``arms`` photons, one s2 per arm, in the order of the amplitudes' sheet axis."""
+    return _bare(product(SINGLE_LABELS, repeat=arms))
+
+
+PAIR_LABELS = _readout_labels(2)
 
 
 # Each arm's s1 eigenvalues, in the order of the arm axes of amplitude tensors.
@@ -96,7 +109,7 @@ class PointerGrid:
 
 @dataclass(frozen=True)
 class OutcomeDensity:
-    """Sampled density over one or two pointer grids, one sheet per label.
+    """Sampled density over one pointer grid per photon, one sheet per label.
 
     ``values`` has one axis per grid followed by the label axis, so the shape
     is (n_points, n_labels) for one photon and (n_a, n_b, n_labels) for a
@@ -144,15 +157,14 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
 
 
 def _amplitudes(state, arms: int) -> np.ndarray:
-    """A[e_a, (e_b,) j] = <s2 sheet j| P_ea (P_eb) |state> over the s1 eigenprojectors.
+    """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
 
     One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over
-    the readout sheets in ``SINGLE_LABELS``/``PAIR_LABELS`` order.
+    the readout sheets in ``_readout_labels(arms)`` order.
     """
     psi = require_normalized(state)
     if psi.size != 2**arms:
-        kind = "single-photon" if arms == 1 else "pair"
-        raise ValueError(f"{kind} state must have dimension {2**arms}, got {psi.size}")
+        raise ValueError(f"a {arms}-photon state must have dimension {2**arms}, got {psi.size}")
     per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, psi.reshape((2,) * arms))
     # per_arm axes are (e_a, s2a, e_b, s2b, ...); gather the e's first.
     order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2)]
@@ -187,7 +199,7 @@ _POINT_BYTES = 200
 
 
 def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> Iterator[np.ndarray]:
-    """|<s2 sheet| K(m_a) (K(m_b)) |state>|^2 through the spectral form of each arm's kernel.
+    """|<s2 sheet| K(m_a) K(m_b) ... |state>|^2 through the spectral form of each arm's kernel.
 
     The state, ``delta_s`` and the size budget are checked when this is
     called, and raise ``ValueError``. The values then come in consecutive
@@ -221,8 +233,7 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> It
 def _density(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> OutcomeDensity:
     chunks = list(_density_chunks(state, delta_s, grids))
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    labels = SINGLE_LABELS if len(grids) == 1 else PAIR_LABELS
-    return OutcomeDensity(grids=grids, labels=labels, values=values)
+    return OutcomeDensity(grids=grids, labels=_readout_labels(len(grids)), values=values)
 
 
 def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:

@@ -19,18 +19,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache
 from itertools import product
 
 import numpy as np
 
 from .measurement import (
     OutcomeDensity,
-    PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
     _amplitudes,
+    _bare,
     _contract_arms,
     _gaussians,
+    _readout_labels,
     validate_resolution,
 )
 from .polarization import chsh_combination
@@ -45,16 +47,20 @@ PAIR_ROW_LABELS = ((1, 1), (0, 1), (-1, 1), (1, -1), (0, -1), (-1, -1))
 
 CONDITION_LIMIT = 1e10
 
-# Table keys by number of arms: in serialization order, and in the C order of
-# a weight tensor with axes (s1 per arm..., s2 per arm...).
-_TABLE_KEYS = {
-    1: [(s1, s2) for s2 in SINGLE_LABELS for s1 in S1_CENTERS],
-    2: [(label_a, label_b) for label_b in PAIR_ROW_LABELS for label_a in PAIR_COLUMN_LABELS],
-}
-_TENSOR_KEYS = {
-    1: list(product(S1_CENTERS, SINGLE_LABELS)),
-    2: [((s1a, s2a), (s1b, s2b)) for (s1a, s1b), (s2a, s2b) in product(product(S1_CENTERS, repeat=2), PAIR_LABELS)],
-}
+# The paper's serialization orders of the one- and two-photon tables; the
+# tables of more photons keep the order of their weight tensor.
+_TABLE_KEYS = (
+    tuple((s1, s2) for s2 in SINGLE_LABELS for s1 in S1_CENTERS),
+    tuple((label_a, label_b) for label_b in PAIR_ROW_LABELS for label_a in PAIR_COLUMN_LABELS),
+)
+
+
+@cache
+def _keys(arms: int) -> tuple[tuple, tuple]:
+    """Table keys in the C order of a weight tensor with axes (s1 per arm..., readout sheet), and in table order."""
+    readouts = tuple(product(SINGLE_LABELS, repeat=arms))
+    tensor = _bare(tuple(zip(s1, s2)) for s1 in product(S1_CENTERS, repeat=arms) for s2 in readouts)
+    return tensor, _TABLE_KEYS[arms - 1] if arms <= len(_TABLE_KEYS) else tensor
 
 
 class IllConditionedDesignError(ValueError):
@@ -74,8 +80,8 @@ class IllConditionedDesignError(ValueError):
 class QuasiProbTable:
     """Signed weights over joint (s1, s2) labels, one label pair per photon.
 
-    Keys are ``(s1, s2)`` for one photon and ``((s1a, s2a), (s1b, s2b))`` for
-    a pair. Finite-resolution tables keep the raw damped cross-term weights;
+    Keys are ``(s1, s2)`` for one photon and ``((s1a, s2a), (s1b, s2b), ...)``
+    for more. Finite-resolution tables keep the raw damped cross-term weights;
     ``deficit`` records how far their sum falls short of one (identically
     zero for the projector construction, where the cross terms cancel in the
     total).
@@ -93,9 +99,6 @@ class QuasiProbTable:
     def total(self) -> float:
         return float(sum(self.entries.values()))
 
-    def weight(self, label) -> float:
-        return self.entries[label]
-
 
 @dataclass(frozen=True)
 class KDistribution:
@@ -111,15 +114,10 @@ class KDistribution:
 
 
 def _table(weights: np.ndarray, delta_s: float, arms: int) -> QuasiProbTable:
-    """Table from weights[c_a, (c_b,) j]: s1 center index per arm, then readout sheet j."""
-    by_key = dict(zip(_TENSOR_KEYS[arms], weights.ravel().tolist()))
-    return QuasiProbTable(entries={key: by_key[key] for key in _TABLE_KEYS[arms]}, delta_s=delta_s, arms=arms)
-
-
-def _weights(table: QuasiProbTable) -> np.ndarray:
-    """Inverse of ``_table``: the weight tensor of a table."""
-    weights = np.array([table.entries[key] for key in _TENSOR_KEYS[table.arms]])
-    return weights.reshape((len(S1_CENTERS),) * table.arms + (-1,))
+    """Table from weights[c_a, c_b, ..., j]: s1 center index per arm, then readout sheet j."""
+    tensor_keys, table_keys = _keys(arms)
+    by_key = dict(zip(tensor_keys, weights.ravel().tolist()))
+    return QuasiProbTable(entries={key: by_key[key] for key in table_keys}, delta_s=delta_s, arms=arms)
 
 
 def _center_map(delta_s: float) -> np.ndarray:
@@ -167,20 +165,18 @@ def _gaussian_columns(points: np.ndarray, delta_s: float) -> np.ndarray:
     return _gaussians(points, S1_CENTERS, delta_s, 0.5) / (delta_s * math.sqrt(2.0 * math.pi))
 
 
-def reconstruct_density(
-    table: QuasiProbTable, grid: PointerGrid, grid_b: PointerGrid | None = None
-) -> OutcomeDensity:
-    """Remix the table's weights into Gaussians of variance delta_s^2.
+def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDensity:
+    """Remix the table's weights into Gaussians of variance delta_s^2, on one grid per photon.
 
     Inverse of the interpretation behind the tables: at finite resolution the
     result equals the directly computed outcome density at every grid point.
     """
     delta_s = validate_resolution(table.delta_s)
-    if table.arms == 2 and grid_b is None:
-        raise ValueError("pair tables need both grids to reconstruct the density")
-    grids = (grid,) if table.arms == 1 else (grid, grid_b)
-    values = _contract_arms([_gaussian_columns(g.points(), delta_s) for g in grids], _weights(table))
-    return OutcomeDensity(grids=grids, labels=SINGLE_LABELS if table.arms == 1 else PAIR_LABELS, values=values)
+    if len(grids) != table.arms:
+        raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
+    weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
+    values = _contract_arms([_gaussian_columns(g.points(), delta_s) for g in grids], weights)
+    return OutcomeDensity(grids=grids, labels=_readout_labels(table.arms), values=values)
 
 
 def _check_grid_coverage(grid: PointerGrid, delta_s: float) -> None:

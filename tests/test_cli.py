@@ -274,6 +274,12 @@ class TestErrorsAndExitCodes:
         code, _, err = run_cli(capsys, "single", "--grid", "oops")
         assert code == 2 and "grid" in err
 
+    def test_empty_grid_b_is_usage_error(self, capsys):
+        # An empty --grid-b is a grid like an empty --grid, not "same as --grid".
+        code, out, err = run_cli(capsys, "pair", "--grid", "-1:1:1", "--grid-b", "")
+        assert (code, out) == (2, "")
+        assert err == run_cli(capsys, "pair", "--grid", "")[2] == "error: grid must be LO:HI:STEP, got ''\n"
+
     def test_unknown_state_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "single", "--state", "zz")
         assert code == 2 and "unknown state" in err
@@ -304,6 +310,14 @@ class TestErrorsAndExitCodes:
         path.write_text('{"amplitudes": %s}' % amplitudes)
         code, out, err = run_cli(capsys, "single", "--state-file", str(path))
         assert code == 2 and "amplitudes must be finite" in err
+        assert out == ""
+
+    @pytest.mark.parametrize("amplitudes", ["[[true, false], [false, false]]", "[[1, 0], [0, false]]"])
+    def test_state_file_booleans_are_not_amplitudes(self, capsys, tmp_path, amplitudes):
+        path = tmp_path / "state.json"
+        path.write_text('{"amplitudes": %s}' % amplitudes)
+        code, out, err = run_cli(capsys, "single", "--state-file", str(path))
+        assert code == 2 and "each amplitude must be an [re, im] pair" in err
         assert out == ""
 
     @pytest.mark.parametrize(

@@ -1,4 +1,6 @@
 import math
+from functools import reduce
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,12 +12,15 @@ from weakpol.measurement import (
     PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
+    _density,
     coincidence_density,
+    measurement_kernel,
     single_outcome_density,
 )
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
 from weakpol.quasiprob import (
     IllConditionedDesignError,
+    _analytic_table,
     deconvolve,
     k_distribution,
     k_value,
@@ -152,6 +157,13 @@ class TestReconstruction:
         rebuilt = reconstruct_density(table, grid, grid)
         assert rebuilt.values.min() >= -1e-12
 
+    @pytest.mark.parametrize("arms,grids", [(1, 2), (2, 1), (2, 3)])
+    def test_one_grid_per_photon(self, arms, grids):
+        state = stokes_eigenstate(2, +1) if arms == 1 else bell_state()
+        table = (quasiprob_table_single if arms == 1 else quasiprob_table_pair)(state, 0.6)
+        with pytest.raises(ValueError, match=f"a {arms}-photon table needs one grid per photon, got {grids} grid"):
+            reconstruct_density(table, *[PointerGrid(-6, 6, 0.1)] * grids)
+
     def test_limit_table_cannot_be_remixed(self):
         table = quasiprob_table_single(stokes_eigenstate(2, +1), LIMIT)
         with pytest.raises(ValueError):
@@ -263,3 +275,57 @@ class TestKDistribution:
         table = quasiprob_table_single(stokes_eigenstate(2, +1), LIMIT)
         with pytest.raises(ValueError, match="pair"):
             k_distribution(table)
+
+
+# Three photons in (|RRR> + |LLL>)/sqrt(2), with the Mermin combination
+# M = s1 s1 s1 - s1 s2 s2 - s2 s1 s2 - s2 s2 s1 of the arms' (s1, s2) labels:
+# N. D. Mermin, PRL 65, 1838 (1990). Classical bound 2, quantum value 4.
+GHZ = np.zeros(8, dtype=complex)
+GHZ[[0, 7]] = 1 / ROOT_TWO
+
+
+def mermin(label_a, label_b, label_c):
+    (s1a, s2a), (s1b, s2b), (s1c, s2c) = label_a, label_b, label_c
+    return s1a * s1b * s1c - s1a * s2b * s2c - s2a * s1b * s2c - s2a * s2b * s1c
+
+
+def kron(*factors):
+    return reduce(np.kron, factors)
+
+
+class TestThreePhotons:
+    def test_density_is_the_product_of_the_kernels(self):
+        grid = PointerGrid(-2, 2, 1.0)
+        density = _density(GHZ, 0.6, (grid, grid, grid))
+        assert density.labels == tuple(product((1, -1), repeat=3))
+        kernels = [measurement_kernel(stokes_operator(1), 0.6, m) for m in grid.points()]
+        for cell in np.ndindex(density.values.shape):
+            *points, sheet = cell
+            bra = kron(*[stokes_eigenstate(2, s2) for s2 in density.labels[sheet]])
+            amplitude = np.vdot(bra, kron(*[kernels[i] for i in points]) @ GHZ)
+            assert abs(abs(amplitude) ** 2 - density.values[cell]) < 1e-14
+
+    def test_table_rebuilds_the_density(self):
+        grid = PointerGrid(-4, 4, 0.5)
+        rebuilt = reconstruct_density(_analytic_table(GHZ, 0.6, 3), grid, grid, grid)
+        direct = _density(GHZ, 0.6, (grid, grid, grid))
+        assert rebuilt.labels == direct.labels
+        assert np.max(np.abs(rebuilt.values - direct.values)) < 1e-14
+
+    def test_limit_table_moments_are_operator_expectations(self):
+        table = _analytic_table(GHZ, LIMIT, 3)
+        assert len(table.entries) == 6**3
+        for axes in product((1, 2), repeat=3):
+            moment = sum(w * math.prod(label[i - 1] for label, i in zip(key, axes)) for key, w in table.entries.items())
+            operator = kron(*[stokes_operator(i) for i in axes])
+            assert moment == pytest.approx(expectation(GHZ, operator), abs=1e-12)
+
+    def test_mermin_distribution_beats_the_classical_bound_with_negative_weight(self):
+        weights = {}
+        for key, w in _analytic_table(GHZ, LIMIT, 3).entries.items():
+            weights[mermin(*key)] = weights.get(mermin(*key), 0.0) + w
+        assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
+        assert sum(m * w for m, w in weights.items()) == pytest.approx(4.0, abs=1e-12)
+        assert weights[-1] == pytest.approx(-1.5, abs=1e-12)
+        assignments = product((-1, 1), repeat=6)
+        assert max(mermin((a1, a2), (b1, b2), (c1, c2)) for a1, a2, b1, b2, c1, c2 in assignments) == 2
