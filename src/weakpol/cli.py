@@ -35,7 +35,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import as_vector
 from .measurement import (
     LIMIT,
     PointerGrid,
@@ -76,9 +75,6 @@ NAMED_STATES = {
     "bell": bell_state,
 }
 
-DEFAULT_GRID_SINGLE = "-6:6:0.01"
-DEFAULT_GRID_PAIR = "-14:14:0.05"
-
 
 class UsageError(Exception):
     pass
@@ -86,10 +82,6 @@ class UsageError(Exception):
 
 class OutputError(Exception):
     """The output file could not be opened or written."""
-
-
-def _fmt(x: float) -> str:
-    return repr(float(x))
 
 
 def _parse_grid(text: str) -> PointerGrid:
@@ -122,11 +114,17 @@ def _load_state_file(path: str) -> np.ndarray:
     if not path:
         raise UsageError("--state-file needs a path, got ''")
     try:
-        document = json.loads(Path(path).read_text(encoding="utf-8"))
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot read state file {path!r}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise UsageError(f"state file {path!r} is not UTF-8: {exc}") from None
+    try:
+        document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"state file {path!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise UsageError(f"state file {path!r} is nested too deeply to parse") from None
     amplitudes = document.get("amplitudes") if isinstance(document, dict) else None
     if not isinstance(amplitudes, list) or len(amplitudes) not in (2, 4):
         raise UsageError(
@@ -157,7 +155,7 @@ def _resolve_state(args, default: str, arms: int | None = None) -> tuple[np.ndar
         name = default if args.state is None else args.state
         if name not in NAMED_STATES:
             raise UsageError(f"unknown state {name!r}; choose from {sorted(NAMED_STATES)} or --state-file")
-        state = as_vector(NAMED_STATES[name]())
+        state = NAMED_STATES[name]()
     if arms is not None and state.size != 2**arms:
         raise UsageError(f"the {args.command} command needs a {2**arms}-amplitude state, got {state.size}")
     return state, name
@@ -389,14 +387,11 @@ def _render(args, config: dict, data, csv_table: tuple[list[str], list[list[str]
 
 
 def _cmd_table(args) -> int:
-    if args.state_file is not None or args.state is not None:
-        state, state_name = _resolve_state(args, default="")
-        system = "single" if state.size == 2 else "pair"
-        if args.system not in (None, system):
-            raise UsageError(f"--system {args.system} conflicts with a {state.size}-amplitude state")
-    else:
-        system = args.system or "single"
-        state, state_name = _resolve_state(args, default="y+" if system == "single" else "bell")
+    # --system only picks the default state; the state picks the table.
+    state, state_name = _resolve_state(args, "bell" if args.system == "pair" else "y+")
+    system = "single" if state.size == 2 else "pair"
+    if args.system not in (None, system):
+        raise UsageError(f"--system {args.system} conflicts with a {state.size}-amplitude state")
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
 
     # Table entries are stored in serialization order.
@@ -404,13 +399,13 @@ def _cmd_table(args) -> int:
         table = quasiprob_table_single(state, delta_s)
         records = [{"labels": {"s1": s1, "s2": s2}, "weight": w} for (s1, s2), w in table.entries.items()]
         header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
-        rows = [[f"{s2:+d}"] + [_fmt(table.entries[(s1, s2)]) for s1 in S1_CENTERS] for s2 in SINGLE_LABELS]
+        rows = [[f"{s2:+d}"] + [repr(table.entries[(s1, s2)]) for s1 in S1_CENTERS] for s2 in SINGLE_LABELS]
     else:
         table = quasiprob_table_pair(state, delta_s)
         records = [{"labels": {"a": list(a), "b": list(b)}, "weight": w} for (a, b), w in table.entries.items()]
         header = ["(s1b,s2b)\\(s1a,s2a)"] + [f"({a[0]},{a[1]})" for a in PAIR_COLUMN_LABELS]
         rows = [
-            [f"({b[0]},{b[1]})"] + [_fmt(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS] for b in PAIR_ROW_LABELS
+            [f"({b[0]},{b[1]})"] + [repr(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS] for b in PAIR_ROW_LABELS
         ]
     config = {"system": system, "state": state_name, "delta_s": _delta_s_config(delta_s)}
     _render(args, config, records, (header, rows))
@@ -422,10 +417,10 @@ def _cmd_kdist(args) -> int:
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
     distribution = k_distribution(quasiprob_table_pair(state, delta_s))
     ordered = [(k, w, _round_percent(w)) for k, w in sorted(distribution.weights.items(), reverse=True)]
-    lines = [f"K={k}: {percent:.1f}% (weight {_fmt(w)})" for k, w, percent in ordered]
-    lines += [f"sum of weights = {_fmt(distribution.total())}", f"mean K = {_fmt(distribution.mean())}"]
+    lines = [f"K={k}: {percent:.1f}% (weight {w!r})" for k, w, percent in ordered]
+    lines += [f"sum of weights = {distribution.total()!r}", f"mean K = {distribution.mean()!r}"]
     records = [{"k": k, "weight": w, "percent": percent} for k, w, percent in ordered]
-    rows = [[str(k), _fmt(w), f"{percent:.1f}"] for k, w, percent in ordered]
+    rows = [[str(k), repr(w), f"{percent:.1f}"] for k, w, percent in ordered]
     config = {"state": state_name, "delta_s": _delta_s_config(delta_s)}
     _render(args, config, records, (["k", "weight", "percent"], rows), lines)
     return 0
@@ -503,8 +498,8 @@ def _cmd_check(args) -> int:
 # --format choices (the first is the default). A command with a resolution
 # also takes a state.
 _COMMANDS = {
-    "single": ("1D pointer density with s2 readout", _cmd_density, "0.6", DEFAULT_GRID_SINGLE, ("csv", "json")),
-    "pair": ("2D coincidence density with s2 readouts", _cmd_density, "2", DEFAULT_GRID_PAIR, ("csv", "json")),
+    "single": ("1D pointer density with s2 readout", _cmd_density, "0.6", "-6:6:0.01", ("csv", "json")),
+    "pair": ("2D coincidence density with s2 readouts", _cmd_density, "2", "-14:14:0.05", ("csv", "json")),
     "table": ("signed joint quasi-probability table", _cmd_table, "inf", None, ("csv", "json")),
     "kdist": ("signed distribution of the CHSH combination", _cmd_kdist, "inf", None, ("text", "csv", "json")),
     "bound": ("classical bound, quantum expectation, margin", _cmd_bound, None, None, ("text", "json")),

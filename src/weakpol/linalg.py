@@ -29,20 +29,20 @@ def as_matrix(m) -> np.ndarray:
     return arr
 
 
-def require_hermitian(m, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def require_hermitian(m) -> np.ndarray:
     """Return ``m`` as a complex array, raising if it is not Hermitian."""
     arr = as_matrix(m)
     defect = float(np.max(np.abs(arr - arr.conj().T)))
     # Written so that a NaN defect fails the check too.
-    if not defect <= tol:
+    if not defect <= HERMITIAN_TOL:
         raise ValueError(f"matrix is not Hermitian (max |M - M^H| = {defect:.3e})")
     return arr
 
 
-def require_normalized(v, tol: float = NORMALIZATION_TOL) -> np.ndarray:
+def require_normalized(v) -> np.ndarray:
     arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
-    if not abs(norm - 1.0) <= tol:
+    if not abs(norm - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"state vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
     return arr
 

@@ -117,8 +117,12 @@ class OutcomeDensity:
     """
 
     grids: tuple[PointerGrid, ...]
-    labels: tuple
     values: np.ndarray
+
+    @property
+    def labels(self) -> tuple:
+        """One readout label per sheet, as ``_readout_labels`` gives them for the number of grids."""
+        return _readout_labels(len(self.grids))
 
     def label_index(self, label) -> int:
         try:
@@ -233,7 +237,7 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> It
 def _density(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> OutcomeDensity:
     chunks = list(_density_chunks(state, delta_s, grids))
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
-    return OutcomeDensity(grids=grids, labels=_readout_labels(len(grids)), values=values)
+    return OutcomeDensity(grids=grids, values=values)
 
 
 def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:

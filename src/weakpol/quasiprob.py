@@ -18,7 +18,7 @@ a weight tensor with one axis per arm through one per-arm matrix each.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
@@ -28,11 +28,11 @@ from .measurement import (
     OutcomeDensity,
     PointerGrid,
     SINGLE_LABELS,
+    _ROOT_TWO_PI,
     _amplitudes,
     _bare,
     _contract_arms,
     _gaussians,
-    _readout_labels,
     validate_resolution,
 )
 from .polarization import chsh_combination
@@ -90,14 +90,14 @@ class QuasiProbTable:
     entries: dict
     delta_s: float
     arms: int
-    deficit: float = field(init=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "deficit", 1.0 - self.total)
 
     @property
     def total(self) -> float:
         return float(sum(self.entries.values()))
+
+    @property
+    def deficit(self) -> float:
+        return 1.0 - self.total
 
 
 @dataclass(frozen=True)
@@ -162,7 +162,7 @@ def quasiprob_table_pair(state, delta_s: float) -> QuasiProbTable:
 
 def _gaussian_columns(points: np.ndarray, delta_s: float) -> np.ndarray:
     """Normalized Gaussians of variance delta_s^2 at the s1 centers, one column each."""
-    return _gaussians(points, S1_CENTERS, delta_s, 0.5) / (delta_s * math.sqrt(2.0 * math.pi))
+    return _gaussians(points, S1_CENTERS, delta_s, 0.5) / (delta_s * _ROOT_TWO_PI)
 
 
 def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDensity:
@@ -176,7 +176,7 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
         raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
     weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
     values = _contract_arms([_gaussian_columns(g.points(), delta_s) for g in grids], weights)
-    return OutcomeDensity(grids=grids, labels=_readout_labels(table.arms), values=values)
+    return OutcomeDensity(grids=grids, values=values)
 
 
 def _check_grid_coverage(grid: PointerGrid, delta_s: float) -> None:
@@ -219,7 +219,7 @@ def _check_joint_label(label) -> tuple[int, int]:
     return int(s1), int(s2)
 
 
-def k_value(label_a, label_b) -> float:
+def k_value(label_a, label_b) -> int:
     """CHSH combination evaluated on discrete (s1, s2) labels for both arms."""
     s1a, s2a = _check_joint_label(label_a)
     s1b, s2b = _check_joint_label(label_b)
@@ -232,5 +232,5 @@ def k_distribution(table: QuasiProbTable) -> KDistribution:
         raise ValueError("the CHSH distribution is defined for pair tables only")
     weights = {k: 0.0 for k in K_VALUES}
     for (label_a, label_b), weight in table.entries.items():
-        weights[int(round(k_value(label_a, label_b)))] += weight
+        weights[k_value(label_a, label_b)] += weight
     return KDistribution(weights=weights)

@@ -271,8 +271,9 @@ class TestRoundHalfAwayFromZero:
 
 class TestErrorsAndExitCodes:
     def test_bad_grid_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, "single", "--grid", "oops")
-        assert code == 2 and "grid" in err
+        for grid in ("oops", "a:b:c"):
+            code, _, err = run_cli(capsys, "single", "--grid", grid)
+            assert code == 2 and "grid" in err
 
     def test_empty_grid_b_is_usage_error(self, capsys):
         # An empty --grid-b is a grid like an empty --grid, not "same as --grid".
@@ -303,6 +304,24 @@ class TestErrorsAndExitCodes:
         path.write_text(json.dumps({"amplitudes": [[1.0, 0.0], [1.0, 0.0]]}))
         code, _, err = run_cli(capsys, "single", "--state-file", str(path))
         assert code == 2 and "normalized" in err
+
+    @pytest.mark.parametrize(
+        "content, message",
+        [
+            (b'{"amplitudes": [[1, 0], [0, 0]], "x": "\xff"}', "is not UTF-8"),
+            (b"[" * 100000 + b"]" * 100000, "is nested too deeply to parse"),
+            (b"amplitudes", "is not valid JSON"),
+            (b"[]", "must contain an 'amplitudes' list"),
+            (b'{"amplitudes": [[1, 0]]}', "must contain an 'amplitudes' list"),
+        ],
+        ids=["not-utf8", "too-deep", "not-json", "no-amplitudes", "one-amplitude"],
+    )
+    def test_malformed_state_file_is_usage_error(self, capsys, tmp_path, content, message):
+        path = tmp_path / "state.json"
+        path.write_bytes(content)
+        code, out, err = run_cli(capsys, "single", "--state-file", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: state file {str(path)!r} ") and message in err and err.count("\n") == 1
 
     @pytest.mark.parametrize("amplitudes", ["[[NaN, 0], [0, 0]]", "[[Infinity, 0], [0, 0]]", "[[1e400, 0], [0, 0]]"])
     def test_state_file_must_be_finite(self, capsys, tmp_path, amplitudes):
@@ -496,7 +515,8 @@ class TestClosedStdout:
         )
         assert process.stdout.readline() == b"s1m,p_s2_plus,p_s2_minus\n"
         process.stdout.close()
-        stderr = process.stderr.read().decode()
+        with process.stderr:
+            stderr = process.stderr.read().decode()
         assert process.wait(timeout=60) == 4
         assert "Traceback" not in stderr
         assert "error: cannot write" in stderr

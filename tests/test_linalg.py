@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from weakpol.linalg import (
+    as_matrix,
+    as_vector,
     expectation,
     operator_function,
     require_hermitian,
@@ -33,6 +35,10 @@ class TestTensor:
     def test_mixed_kinds_rejected(self):
         with pytest.raises(ValueError, match="same kind"):
             tensor(np.array([1.0, 0.0]), I2)
+
+    def test_three_dimensional_operands_rejected(self):
+        with pytest.raises(ValueError, match="vectors or matrices, got ndim 3"):
+            tensor(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
 
     def test_dimensions_multiply(self, rng):
         for dim_a, dim_b in [(2, 2), (2, 4), (4, 2), (4, 4)]:
@@ -80,6 +86,17 @@ class TestOperatorFunction:
         assert np.max(np.abs(operator_function(split, gaussian) - operator_function(degenerate, gaussian))) < 1e-12
 
 
+class TestShapesRejected:
+    @pytest.mark.parametrize("v", [[], [[1.0]]])
+    def test_as_vector_needs_a_nonempty_1d_array(self, v):
+        with pytest.raises(ValueError, match="nonempty 1-d complex vector"):
+            as_vector(v)
+
+    def test_as_matrix_needs_a_square_array(self):
+        with pytest.raises(ValueError, match=r"square complex matrix, got shape \(2, 3\)"):
+            as_matrix(np.zeros((2, 3)))
+
+
 class TestNanInputsRejected:
     def test_require_normalized_rejects_nan(self):
         with pytest.raises(ValueError, match="normalized"):
@@ -101,6 +118,11 @@ class TestExpectation:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension"):
             expectation(np.array([1.0, 0.0, 0.0, 0.0]), SIGMA_X)
+
+    def test_imaginary_quadratic_form_rejected(self):
+        state = np.array([1.0, 1.0j]) / math.sqrt(2.0)
+        with pytest.raises(ValueError, match="imaginary part 5.000e-01"):
+            expectation(state, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_unnormalized_state_rejected(self):
         with pytest.raises(ValueError, match="normalized"):

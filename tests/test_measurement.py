@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from itertools import product
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from weakpol import measurement
 from weakpol.measurement import (
     LIMIT,
+    OutcomeDensity,
     PAIR_LABELS,
     PointerGrid,
     coincidence_density,
@@ -51,6 +53,22 @@ class TestPointerGrid:
     def test_rejects_finite_bounds_with_infinite_span(self, lo, hi, step):
         with pytest.raises(ValueError, match="span"):
             PointerGrid(lo, hi, step)
+
+
+class TestOutcomeDensityLabels:
+    @pytest.mark.parametrize(
+        "arms, labels",
+        [(1, (1, -1)), (2, ((1, 1), (1, -1), (-1, 1), (-1, -1))), (3, tuple(product((1, -1), repeat=3)))],
+    )
+    def test_labels_follow_from_the_number_of_grids(self, arms, labels):
+        grid = PointerGrid(-1.0, 1.0, 1.0)
+        values = np.arange(3**arms * 2**arms, dtype=float).reshape((3,) * arms + (2**arms,))
+        density = OutcomeDensity(grids=(grid,) * arms, values=values)
+        assert density.labels == labels
+        for index, label in enumerate(labels):
+            assert np.array_equal(density.sheet(label), values[..., index])
+        with pytest.raises(KeyError, match="unknown outcome label 0"):
+            density.sheet(0)
 
 
 class TestMeasurementKernel:

@@ -9,9 +9,7 @@ from weakpol.linalg import expectation
 from weakpol.measurement import (
     LIMIT,
     OutcomeDensity,
-    PAIR_LABELS,
     PointerGrid,
-    SINGLE_LABELS,
     _density,
     coincidence_density,
     measurement_kernel,
@@ -192,7 +190,7 @@ class TestDeconvolve:
         points = grid.points()
         values = np.zeros((grid.count, 2))
         values[:, 0] = np.exp(-((points - 1.0) ** 2) / 2.0) / math.sqrt(2.0 * math.pi)
-        synthetic = OutcomeDensity(grids=(grid,), labels=SINGLE_LABELS, values=values)
+        synthetic = OutcomeDensity(grids=(grid,), values=values)
         table = deconvolve(synthetic, 1.0)
         assert table.entries[(1, 1)] == pytest.approx(1.0, abs=1e-10)
         for label in [(-1, 1), (0, 1), (-1, -1), (0, -1), (1, -1)]:
@@ -202,7 +200,7 @@ class TestDeconvolve:
         delta_s = 2e5
         grid = PointerGrid(-(1 + 6 * delta_s), 1 + 6 * delta_s, 1e3)
         flat = OutcomeDensity(
-            grids=(grid,), labels=SINGLE_LABELS, values=np.zeros((grid.count, 2))
+            grids=(grid,), values=np.zeros((grid.count, 2))
         )
         with pytest.raises(IllConditionedDesignError, match="200000"):
             deconvolve(flat, delta_s)
@@ -217,7 +215,7 @@ class TestDeconvolve:
             axis=1,
         )
         flat = OutcomeDensity(
-            grids=(grid, grid), labels=PAIR_LABELS, values=np.zeros((grid.count, grid.count, 4))
+            grids=(grid, grid), values=np.zeros((grid.count, grid.count, 4))
         )
         with pytest.raises(IllConditionedDesignError) as excinfo:
             deconvolve(flat, delta_s)

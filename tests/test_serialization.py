@@ -142,7 +142,7 @@ def special_values(shape):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_special_values_single(tmp_path, monkeypatch, fmt):
     grid = PointerGrid(-1.0, 1.0, 0.5)
-    density = OutcomeDensity((grid,), SINGLE_LABELS, special_values((grid.count, 2)))
+    density = OutcomeDensity((grid,), special_values((grid.count, 2)))
     monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(density.values, 2)))
     data = on_each_token_source(lambda: run_to_file(tmp_path, "single", "--grid", "-1:1:0.5", "--format", fmt))
     config = {"state": "y+", "delta_s": 0.6, "grid": "-1.0:1.0:0.5"}
@@ -154,7 +154,7 @@ def test_special_values_single(tmp_path, monkeypatch, fmt):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_special_values_pair(tmp_path, monkeypatch, fmt):
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 1.0), PointerGrid(0.0, 0.5, 0.25)
-    density = OutcomeDensity((grid_a, grid_b), PAIR_LABELS, special_values((grid_a.count, grid_b.count, 4)))
+    density = OutcomeDensity((grid_a, grid_b), special_values((grid_a.count, grid_b.count, 4)))
     monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(density.values, 2)))
     argv = ["pair", "--grid", "-1:1:1", "--grid-b", "0:0.5:0.25", "--format", fmt]
     data = on_each_token_source(lambda: run_to_file(tmp_path, *argv))
@@ -176,7 +176,7 @@ def densities(draw):
     labels = SINGLE_LABELS if len(grid_list) == 1 else PAIR_LABELS
     shape = tuple(grid.count for grid in grid_list) + (len(labels),)
     values = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
-    return OutcomeDensity(grid_list, labels, values)
+    return OutcomeDensity(grid_list, values)
 
 
 @settings(max_examples=200, deadline=None)
