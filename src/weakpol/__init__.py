@@ -13,11 +13,10 @@ from .measurement import (
     PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
-    coincidence_density,
     completeness_defect,
     eigenstate_density_closed_form,
     measurement_kernel,
-    single_outcome_density,
+    outcome_density,
 )
 from .polarization import (
     bell_expectation,
@@ -38,8 +37,7 @@ from .quasiprob import (
     deconvolve,
     k_distribution,
     k_value,
-    quasiprob_table_pair,
-    quasiprob_table_single,
+    quasiprob_table,
     reconstruct_density,
 )
 
@@ -59,7 +57,6 @@ __all__ = [
     "bell_state",
     "chsh_combination",
     "classical_chsh_bound",
-    "coincidence_density",
     "completeness_defect",
     "deconvolve",
     "eigenstate_density_closed_form",
@@ -68,10 +65,9 @@ __all__ = [
     "k_value",
     "measurement_kernel",
     "operator_function",
-    "quasiprob_table_pair",
-    "quasiprob_table_single",
+    "outcome_density",
+    "quasiprob_table",
     "reconstruct_density",
-    "single_outcome_density",
     "stokes_eigenstate",
     "stokes_operator",
     "tensor",

@@ -17,7 +17,8 @@ kdist, bound and check build their result once and write it through
 ``_render`` in the format ``--format`` names. A write that fails removes the
 partial ``--out`` file. Exit codes: 0 success, 1 failed check, 2 usage error,
 3 numerical guard failure, 4 output I/O error (including a stdout closed at
-start or by its reader).
+start or by its reader), 5 internal error (any other exception, reported in
+one line with its type).
 """
 
 from __future__ import annotations
@@ -40,10 +41,9 @@ from .measurement import (
     PointerGrid,
     SINGLE_LABELS,
     _density_chunks,
-    coincidence_density,
     completeness_defect,
     eigenstate_density_closed_form,
-    single_outcome_density,
+    outcome_density,
     validate_resolution,
 )
 from .polarization import (
@@ -60,8 +60,7 @@ from .quasiprob import (
     S1_CENTERS,
     deconvolve,
     k_distribution,
-    quasiprob_table_pair,
-    quasiprob_table_single,
+    quasiprob_table,
     reconstruct_density,
 )
 
@@ -123,6 +122,9 @@ def _load_state_file(path: str) -> np.ndarray:
         document = json.loads(text)
     except json.JSONDecodeError as exc:
         raise UsageError(f"state file {path!r} is not valid JSON: {exc}") from None
+    except ValueError as exc:
+        # An integer of more digits than int() converts (4300 by default).
+        raise UsageError(f"state file {path!r} cannot be parsed: {exc}") from None
     except RecursionError:
         raise UsageError(f"state file {path!r} is nested too deeply to parse") from None
     amplitudes = document.get("amplitudes") if isinstance(document, dict) else None
@@ -139,7 +141,9 @@ def _load_state_file(path: str) -> np.ndarray:
         raise UsageError(f"state file {path!r}: each amplitude must be an [re, im] pair") from None
     if not np.isfinite(state).all():
         raise UsageError(f"state file {path!r}: amplitudes must be finite numbers")
-    norm = float(np.linalg.norm(state))
+    # A norm past the float range is inf, which is not 1.
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(state))
     if abs(norm - 1.0) > 1e-9:
         raise UsageError(f"state file {path!r}: amplitudes are not normalized (norm {norm})")
     return state / norm
@@ -395,13 +399,12 @@ def _cmd_table(args) -> int:
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
 
     # Table entries are stored in serialization order.
+    table = quasiprob_table(state, delta_s)
     if system == "single":
-        table = quasiprob_table_single(state, delta_s)
         records = [{"labels": {"s1": s1, "s2": s2}, "weight": w} for (s1, s2), w in table.entries.items()]
         header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
         rows = [[f"{s2:+d}"] + [repr(table.entries[(s1, s2)]) for s1 in S1_CENTERS] for s2 in SINGLE_LABELS]
     else:
-        table = quasiprob_table_pair(state, delta_s)
         records = [{"labels": {"a": list(a), "b": list(b)}, "weight": w} for (a, b), w in table.entries.items()]
         header = ["(s1b,s2b)\\(s1a,s2a)"] + [f"({a[0]},{a[1]})" for a in PAIR_COLUMN_LABELS]
         rows = [
@@ -415,7 +418,7 @@ def _cmd_table(args) -> int:
 def _cmd_kdist(args) -> int:
     state, state_name = _resolve_state(args, "bell", arms=2)
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
-    distribution = k_distribution(quasiprob_table_pair(state, delta_s))
+    distribution = k_distribution(quasiprob_table(state, delta_s))
     ordered = [(k, w, _round_percent(w)) for k, w in sorted(distribution.weights.items(), reverse=True)]
     lines = [f"K={k}: {percent:.1f}% (weight {w!r})" for k, w, percent in ordered]
     lines += [f"sum of weights = {distribution.total()!r}", f"mean K = {distribution.mean()!r}"]
@@ -449,7 +452,7 @@ def _check_results() -> list[tuple[str, bool, str]]:
     oracle_grid = PointerGrid(-4, 4, 0.01)
     worst = 0.0
     for delta_s in (0.3, 0.6, 1.0, 2.0):
-        density = single_outcome_density(yplus, delta_s, oracle_grid)
+        density = outcome_density(yplus, delta_s, oracle_grid)
         p_plus, p_minus = eigenstate_density_closed_form(delta_s, oracle_grid.points())
         worst = max(
             worst,
@@ -458,25 +461,25 @@ def _check_results() -> list[tuple[str, bool, str]]:
         )
     record("closed-form oracle agreement", worst, 1e-12)
 
-    # Per arm count: name, state, table and density functions, the grid and limit of the
-    # deconvolution at delta_s = 1, and the grid and delta_s of the rebuild.
+    # Per arm count: name, state, the grid and limit of the deconvolution at
+    # delta_s = 1, and the grid and delta_s of the rebuild.
     cases = [
-        ("single", yplus, quasiprob_table_single, single_outcome_density, (-8, 8, 0.01), 1e-8, (-6, 6, 0.01), 0.6),
-        ("pair", bell_state(), quasiprob_table_pair, coincidence_density, (-8, 8, 0.05), 1e-6, (-14, 14, 0.05), 2.0),
+        ("single", yplus, (-8, 8, 0.01), 1e-8, (-6, 6, 0.01), 0.6),
+        ("pair", bell_state(), (-8, 8, 0.05), 1e-6, (-14, 14, 0.05), 2.0),
     ]
     totals, zeros, rebuilds = [], [], []
-    for arms, (name, state, table, density, fit_grid, fit_limit, grid, delta_s) in enumerate(cases, 1):
+    for arms, (name, state, fit_grid, fit_limit, grid, delta_s) in enumerate(cases, 1):
         fit_grids, grids = [PointerGrid(*fit_grid)] * arms, [PointerGrid(*grid)] * arms
-        recovered, analytic = deconvolve(density(state, 1.0, *fit_grids), 1.0), table(state, 1.0)
+        recovered, analytic = deconvolve(outcome_density(state, 1.0, *fit_grids), 1.0), quasiprob_table(state, 1.0)
         diff = max(abs(recovered.entries[k] - analytic.entries[k]) for k in analytic.entries)
         record(f"deconvolution matches analytic table ({name})", diff, fit_limit)
-        limit = table(state, LIMIT)
+        limit = quasiprob_table(state, LIMIT)
         totals.append(abs(limit.total - 1))
         # Each arm's s1 in a key: (s1, s2) for one photon, ((s1a, s2a), (s1b, s2b)) for a pair.
         s1 = [np.reshape(key, (-1, 2))[:, 0] for key in limit.entries]
         zeros += [abs(sum(w for s, w in zip(s1, limit.entries.values()) if s[arm] == 0)) for arm in range(arms)]
-        rebuilt = reconstruct_density(table(state, delta_s), *grids).values
-        rebuilds.append(float(np.max(np.abs(rebuilt - density(state, delta_s, *grids).values))))
+        rebuilt = reconstruct_density(quasiprob_table(state, delta_s), *grids).values
+        rebuilds.append(float(np.max(np.abs(rebuilt - outcome_density(state, delta_s, *grids).values))))
     record("table totals equal one", max(totals), 1e-12)
     record("zero total weight at s1=0", max(zeros), 1e-12)
     record("density rebuilt from table weights", max(rebuilds), 1e-10)
@@ -560,13 +563,22 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 4
     except BrokenPipeError:
-        # The reader of stdout is gone. Point stdout at devnull so that the
-        # interpreter's flush at exit cannot fail on what is still buffered.
+        # The reader of stdout is gone. Point stdout, and stderr if it is the
+        # same pipe (as in "weakpol pair 2>&1 | head -1"), at devnull so that
+        # the interpreter's flush at exit cannot fail on what is still buffered.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        try:
+            sys.stderr.write("error: cannot write to standard output: the reader closed the pipe\n")
+            sys.stderr.flush()
+        except OSError:
+            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        sys.stderr.write("error: cannot write to standard output: the reader closed the pipe\n")
         return 4
+    except Exception as exc:
+        message = " ".join(str(exc).splitlines())
+        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {message}\n")
+        return 5
 
 
 if __name__ == "__main__":

@@ -5,8 +5,9 @@ is represented by the Gaussian operator
 
     P(m) = (2 pi delta_s^2)^(-1/4) * exp(-(s1_op - m)^2 / (4 delta_s^2)),
 
-followed by a projective readout of s2. Densities are sampled on uniform
-pointer grids; quadrature is the plain step-weighted sum over grid points.
+followed by a projective readout of s2. ``outcome_density`` samples the
+joint density on one uniform pointer grid per photon, for 1 to 3 photons;
+quadrature is the plain step-weighted sum over grid points.
 A large density is computed in chunks of first-arm points, which the CLI
 streams and the library joins, and every density must fit a size budget
 (at most 2**24 cells and 1342177 points per grid), or ``ValueError`` is
@@ -160,12 +161,19 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
     return np.einsum(*operands, weights, [*range(arms), ...], [*range(arms, 2 * arms), ...], optimize=True)
 
 
+# Tables and densities take 1 to 3 photons: the 4**arms amplitudes, allocated
+# before a density's size budget is checked, would take 1 GiB at 13 photons.
+_MAX_ARMS = 3
+
+
 def _amplitudes(state, arms: int) -> np.ndarray:
     """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
 
     One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over
     the readout sheets in ``_readout_labels(arms)`` order.
     """
+    if not 1 <= arms <= _MAX_ARMS:
+        raise ValueError(f"states of 1 to {_MAX_ARMS} photons are supported, got {arms} photon(s)")
     psi = require_normalized(state)
     if psi.size != 2**arms:
         raise ValueError(f"a {arms}-photon state must have dimension {2**arms}, got {psi.size}")
@@ -192,11 +200,11 @@ _ONE_CHUNK_CELLS = 2**20
 _CHUNK_CELLS = 2**18
 
 # The memory budget of one density, checked before anything grid-sized is
-# allocated. Measured costs: the values that single_outcome_density and
-# coincidence_density join from the chunks take 16 bytes per cell at the join
-# (the chunks and the joined copy), and each arm takes up to 200 bytes per
-# grid point when the CLI writes it (its Gaussian factors, its coordinate
-# text and, for an arm after the first, its share of a one-point chunk).
+# allocated. Measured costs: the values that outcome_density joins from the
+# chunks take 16 bytes per cell at the join (the chunks and the joined copy),
+# and each arm takes up to 200 bytes per grid point when the CLI writes it
+# (its Gaussian factors, its coordinate text and, for an arm after the first,
+# its share of a one-point chunk).
 _BUDGET_BYTES = 2**28
 _CELL_BYTES = 16
 _POINT_BYTES = 200
@@ -234,10 +242,20 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> It
     )
 
 
-def _density(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> OutcomeDensity:
+def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensity:
+    """Joint density of each photon's s1 pointer value and s2 readout, on one grid per photon.
+
+    Each sheet is |<s2a, s2b, ...| K_a(m_a) K_b(m_b) ... |state>|^2 for a
+    state of 2**arms amplitudes, evaluated through the spectral form of each
+    kernel: the same as applying ``measurement_kernel`` point by point.
+    """
     chunks = list(_density_chunks(state, delta_s, grids))
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
     return OutcomeDensity(grids=grids, values=values)
+
+
+# The old single/pair names, kept until the benchmark harness in bench/ uses the new one.
+single_outcome_density = coincidence_density = outcome_density
 
 
 def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:
@@ -247,22 +265,11 @@ def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:
     return kernel / math.sqrt(delta_s * _ROOT_TWO_PI)
 
 
-def single_outcome_density(state, delta_s: float, grid: PointerGrid) -> OutcomeDensity:
-    """Joint density of the s1 pointer value and the final s2 outcome.
-
-    For each grid point m and s2 = +-1 this is |<s2| P(m) |state>|^2 with the
-    kernel built on the s1 component. Evaluated through the spectral form of
-    the kernel, which is identical to applying ``measurement_kernel`` point by
-    point.
-    """
-    return _density(state, delta_s, (grid,))
-
-
 def eigenstate_density_closed_form(delta_s: float, m):
     """Closed-form densities for the s2 = +1 eigenstate.
 
     Returns the pair (P(m; s2=+1), P(m; s2=-1)); ``m`` may be a scalar or an
-    array. Serves as an independent oracle for ``single_outcome_density``:
+    array. Serves as an independent oracle for ``outcome_density``:
 
         P(m; +-1) = exp(-(m^2+1)/(2 ds^2)) / sqrt(2 pi ds^2)
                     * cosh^2 or sinh^2 of m/(2 ds^2).
@@ -278,17 +285,6 @@ def eigenstate_density_closed_form(delta_s: float, m):
         envelope = np.exp(-0.5 * z * z) / (delta_s * _ROOT_TWO_PI)
         r = (m / delta_s) / delta_s
     return envelope * ((1.0 + np.exp(-r)) / 2.0) ** 2, envelope * (np.expm1(-r) / 2.0) ** 2
-
-
-def coincidence_density(state, delta_s: float, grid_a: PointerGrid, grid_b: PointerGrid) -> OutcomeDensity:
-    """Joint pointer/readout density for a photon pair.
-
-    Both arms carry an s1 pointer measurement of resolution ``delta_s``
-    followed by projective s2 readouts. The two kernels act on different
-    tensor factors and commute, so this is
-    |<s2a, s2b| K_a(m_a) K_b(m_b) |state>|^2 per sheet.
-    """
-    return _density(state, delta_s, (grid_a, grid_b))
 
 
 def completeness_defect(target, delta_s: float, grid: PointerGrid) -> float:

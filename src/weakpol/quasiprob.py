@@ -10,9 +10,10 @@ stays nonnegative. In the infinite-resolution limit (``delta_s = math.inf``)
 the damping disappears and the weights reach their full strength.
 
 Two independent routes to every table are provided: the analytic projector
-construction (the product) and a least-squares deconvolution of the sampled
-density (the oracle). Both, and the remix of a table into a density, act on
-a weight tensor with one axis per arm through one per-arm matrix each.
+construction (the product, ``quasiprob_table``, for 1 to 3 photons) and a
+least-squares deconvolution of the sampled density (the oracle). Both, and
+the remix of a table into a density, act on a weight tensor with one axis
+per arm through one per-arm matrix each.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from itertools import product
 
 import numpy as np
 
+from .linalg import require_normalized
 from .measurement import (
     OutcomeDensity,
     PointerGrid,
@@ -129,8 +131,17 @@ def _center_map(delta_s: float) -> np.ndarray:
     return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, damping, damping, 0.0], [0.0, 0.0, 0.0, 1.0]])
 
 
-def _analytic_table(state, delta_s: float, arms: int) -> QuasiProbTable:
-    """Weights Re sum C[c_a, (e_a, e_a')] ... A[e_a, ..., j] conj(A[e_a', ..., j])."""
+def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
+    """Joint quasi-probability table of (s1, s2) labels over every photon of ``state``.
+
+    The arm count comes from the state's size, 2**arms amplitudes for 1 to 3
+    photons. With amplitudes A(e_a, e_b, ...; j) = <s2 sheet j| P_ea P_eb ...
+    |state> over the s1 eigenprojectors, each weight is
+    Re sum C[c_a, (e_a, e_a')] ... A[e_a, ..., j] conj(A[e_a', ..., j]): per
+    arm, s1 = +-1 takes e = e', and the midpoint s1 = 0 takes both cross
+    pairs, damped by exp(-1/(2 delta_s^2)) (1 in the limit).
+    """
+    arms = require_normalized(state).size.bit_length() - 1
     amplitudes = _amplitudes(state, arms)
     delta_s = validate_resolution(delta_s, allow_limit=True)
     # products[e_a, e_a', e_b, e_b', ..., j] = A[e_a, e_b, ..., j] conj(A[e_a', e_b', ..., j])
@@ -140,24 +151,8 @@ def _analytic_table(state, delta_s: float, arms: int) -> QuasiProbTable:
     return _table(_contract_arms([_center_map(delta_s)] * arms, products).real, delta_s, arms)
 
 
-def quasiprob_table_single(state, delta_s: float) -> QuasiProbTable:
-    """Joint quasi-probability table of (s1, s2) for one photon.
-
-    With A_e(s2) = <s2| P_e |state> over the s1 eigenprojectors, the weight
-    at s1 = +-1 is |A_e(s2)|^2 and the weight at the midpoint s1 = 0 is
-    2 Re[A_+ conj(A_-)] times the cross damping (1 in the limit).
-    """
-    return _analytic_table(state, delta_s, 1)
-
-
-def quasiprob_table_pair(state, delta_s: float) -> QuasiProbTable:
-    """Joint quasi-probability table over both photons (36 entries).
-
-    Generalizes the single-photon construction with one projector index per
-    arm: amplitudes A(ea, eb; s2a, s2b) = <s2a, s2b| P_ea P_eb |state>, and
-    each arm contributes its own cross damping factor.
-    """
-    return _analytic_table(state, delta_s, 2)
+# The old single/pair names, kept until the benchmark harness in bench/ uses the new one.
+quasiprob_table_single = quasiprob_table_pair = quasiprob_table
 
 
 def _gaussian_columns(points: np.ndarray, delta_s: float) -> np.ndarray:

@@ -13,10 +13,9 @@ from weakpol.linalg import expectation
 from weakpol.measurement import (
     LIMIT,
     PointerGrid,
-    coincidence_density,
     completeness_defect,
     eigenstate_density_closed_form,
-    single_outcome_density,
+    outcome_density,
 )
 from weakpol.polarization import (
     bell_operator,
@@ -32,8 +31,7 @@ from weakpol.quasiprob import (
     deconvolve,
     k_distribution,
     k_value,
-    quasiprob_table_pair,
-    quasiprob_table_single,
+    quasiprob_table,
     reconstruct_density,
 )
 
@@ -94,7 +92,7 @@ def _report(number: int, ok: bool, detail: str) -> None:
 
 
 def test_criterion_01_single_photon_table_exact():
-    table = quasiprob_table_single(stokes_eigenstate(2, +1), LIMIT)
+    table = quasiprob_table(stokes_eigenstate(2, +1), LIMIT)
     expected = {
         (-1, 1): 0.25,
         (0, 1): 0.5,
@@ -110,7 +108,7 @@ def test_criterion_01_single_photon_table_exact():
 
 
 def test_criterion_02_pair_table_exact():
-    table = quasiprob_table_pair(bell_state(), LIMIT)
+    table = quasiprob_table(bell_state(), LIMIT)
     worst = 0.0
     for label_b, row in PAIR_TABLE_CLOSED_FORMS.items():
         for label_a, value in zip(PAIR_COLUMN_LABELS, row):
@@ -154,7 +152,7 @@ def test_criterion_04_k_distribution():
         abs(K_WEIGHT_CLOSED_FORMS[k] - target) <= 0.0005 for k, target in K_WEIGHT_ROUNDING.items()
     ), "the rounding reference is not the rounding of the closed forms"
 
-    distribution = k_distribution(quasiprob_table_pair(bell_state(), LIMIT))
+    distribution = k_distribution(quasiprob_table(bell_state(), LIMIT))
     weights = distribution.weights
     total_ok = abs(distribution.total() - 1.0) < 1e-12
     mean_ok = abs(distribution.mean() - 2.0 * ROOT_TWO) < 1e-12
@@ -187,7 +185,7 @@ def test_criterion_05_closed_form_oracle():
     grid = PointerGrid(-4, 4, 0.01)
     worst = 0.0
     for delta_s in (0.3, 0.6, 1.0, 2.0):
-        density = single_outcome_density(stokes_eigenstate(2, +1), delta_s, grid)
+        density = outcome_density(stokes_eigenstate(2, +1), delta_s, grid)
         p_plus, p_minus = eigenstate_density_closed_form(delta_s, grid.points())
         worst = max(
             worst,
@@ -212,7 +210,7 @@ def test_criterion_06_bell_numbers():
 
 def test_criterion_07_coincidence_peak_geometry():
     grid = PointerGrid(-14, 14, 0.05)
-    density = coincidence_density(bell_state(), 2.0, grid, grid)
+    density = outcome_density(bell_state(), 2.0, grid, grid)
 
     peak_pm = density.peak_location((1, -1))
     peak_mp = density.peak_location((-1, 1))
@@ -251,16 +249,16 @@ def test_criterion_08_measurement_completeness():
 def test_criterion_09_deconvolution_oracle():
     yplus = stokes_eigenstate(2, +1)
     grid_1d = PointerGrid(-8, 8, 0.01)
-    recovered = deconvolve(single_outcome_density(yplus, 1.0, grid_1d), 1.0)
-    analytic = quasiprob_table_single(yplus, 1.0)
+    recovered = deconvolve(outcome_density(yplus, 1.0, grid_1d), 1.0)
+    analytic = quasiprob_table(yplus, 1.0)
     worst_single = max(
         abs(recovered.entries[label] - weight) for label, weight in analytic.entries.items()
     )
 
     pair = bell_state()
     grid_2d = PointerGrid(-8, 8, 0.05)
-    recovered_pair = deconvolve(coincidence_density(pair, 1.0, grid_2d, grid_2d), 1.0)
-    analytic_pair = quasiprob_table_pair(pair, 1.0)
+    recovered_pair = deconvolve(outcome_density(pair, 1.0, grid_2d, grid_2d), 1.0)
+    analytic_pair = quasiprob_table(pair, 1.0)
     worst_pair = max(
         abs(recovered_pair.entries[label] - weight)
         for label, weight in analytic_pair.entries.items()
@@ -280,9 +278,9 @@ def test_criterion_10_property_suite():
 
     zero_worst = 0.0
     for _ in range(20):
-        table = quasiprob_table_single(random_pure_state(rng, 2), LIMIT)
+        table = quasiprob_table(random_pure_state(rng, 2), LIMIT)
         zero_worst = max(zero_worst, abs(table.entries[(0, 1)] + table.entries[(0, -1)]))
-        pair_table = quasiprob_table_pair(random_pure_state(rng, 4), LIMIT)
+        pair_table = quasiprob_table(random_pure_state(rng, 4), LIMIT)
         zero_a = sum(w for (la, lb), w in pair_table.entries.items() if la[0] == 0)
         zero_b = sum(w for (la, lb), w in pair_table.entries.items() if lb[0] == 0)
         zero_worst = max(zero_worst, abs(zero_a), abs(zero_b))
@@ -292,8 +290,8 @@ def test_criterion_10_property_suite():
     grid_2d = PointerGrid(-6, 6, 0.1)
     min_density = 0.0
     for _ in range(25):
-        single = single_outcome_density(random_pure_state(rng, 2), 0.6, grid_1d)
-        pair = coincidence_density(random_pure_state(rng, 4), 0.6, grid_2d, grid_2d)
+        single = outcome_density(random_pure_state(rng, 2), 0.6, grid_1d)
+        pair = outcome_density(random_pure_state(rng, 4), 0.6, grid_2d, grid_2d)
         min_density = min(min_density, float(single.values.min()), float(pair.values.min()))
     nonneg_ok = min_density >= -1e-12
 
@@ -308,7 +306,7 @@ def test_criterion_10_property_suite():
     moment_worst = 0.0
     for _ in range(20):
         state = random_pure_state(rng, 2)
-        table = quasiprob_table_single(state, LIMIT)
+        table = quasiprob_table(state, LIMIT)
         moments = [
             sum(w * la[0] for la, w in table.entries.items()) - expectation(state, s1),
             sum(w * la[1] for la, w in table.entries.items()) - expectation(state, s2),
@@ -317,7 +315,7 @@ def test_criterion_10_property_suite():
         ]
         moment_worst = max(moment_worst, max(abs(m) for m in moments))
         pair_state = random_pure_state(rng, 4)
-        pair_table = quasiprob_table_pair(pair_state, LIMIT)
+        pair_table = quasiprob_table(pair_state, LIMIT)
         for (i, j), operator in pair_ops.items():
             moment = sum(
                 w * la[i - 1] * lb[j - 1] for (la, lb), w in pair_table.entries.items()
@@ -329,16 +327,16 @@ def test_criterion_10_property_suite():
     rebuild_worst = 0.0
     for _ in range(10):
         state = random_pure_state(rng, 2)
-        table = quasiprob_table_single(state, 0.6)
+        table = quasiprob_table(state, 0.6)
         rebuilt = reconstruct_density(table, rebuild_grid)
-        direct = single_outcome_density(state, 0.6, rebuild_grid)
+        direct = outcome_density(state, 0.6, rebuild_grid)
         rebuild_worst = max(rebuild_worst, float(np.max(np.abs(rebuilt.values - direct.values))))
     pair_grid = PointerGrid(-8, 8, 0.1)
     for _ in range(3):
         state = random_pure_state(rng, 4)
-        table = quasiprob_table_pair(state, 1.0)
+        table = quasiprob_table(state, 1.0)
         rebuilt = reconstruct_density(table, pair_grid, pair_grid)
-        direct = coincidence_density(state, 1.0, pair_grid, pair_grid)
+        direct = outcome_density(state, 1.0, pair_grid, pair_grid)
         rebuild_worst = max(rebuild_worst, float(np.max(np.abs(rebuilt.values - direct.values))))
     rebuild_ok = rebuild_worst < 1e-10
 

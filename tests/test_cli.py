@@ -8,18 +8,39 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 import weakref
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakpol import cli, measurement
-from weakpol.measurement import PointerGrid, coincidence_density, single_outcome_density
+from weakpol.measurement import PointerGrid, outcome_density
 from weakpol.polarization import bell_state, stokes_eigenstate
 from weakpol.quasiprob import IllConditionedDesignError
+
+
+# An integer of more digits than int() converts by default (4300).
+HUGE_INTEGER_STATE = '{"amplitudes": [[' + "1" * 5000 + ", 0], [0, 0]]}"
+
+
+def _normalized(pairs):
+    parts = [float(part) for pair in pairs for part in pair]
+    norm = math.hypot(*parts)
+    if not 0 < norm < math.inf:
+        return pairs
+    return [[re / norm, im / norm] for re, im in zip(parts[::2], parts[1::2])]
+
+
+def state_documents():
+    """State files of 2 or 4 amplitudes: any finite floats or integers up to 1e30, normalized or not."""
+    part = st.floats(allow_nan=False, allow_infinity=False) | st.integers(-(10**30), 10**30)
+    amplitudes = st.sampled_from([2, 4]).flatmap(lambda n: st.lists(st.tuples(part, part), min_size=n, max_size=n))
+    amplitudes = amplitudes | amplitudes.map(_normalized)
+    return amplitudes.map(lambda pairs: json.dumps({"amplitudes": pairs}))
 
 
 def run_cli(capsys, *argv):
@@ -42,7 +63,7 @@ class TestSingleCommand:
         header, rows = parse_csv(out)
         assert header == ["s1m", "p_s2_plus", "p_s2_minus"]
         assert len(rows) == 801
-        density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-4, 4, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-4, 4, 0.01))
         for i in (0, 400, 800):
             assert float(rows[i][0]) == density.grids[0].points()[i]
             assert float(rows[i][1]) == density.sheet(1)[i]
@@ -61,7 +82,7 @@ class TestSingleCommand:
         document = json.loads(out)
         assert document["command"] == "single"
         assert document["config"]["delta_s"] == 0.6
-        density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-2, 2, 0.1))
+        density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-2, 2, 0.1))
         for i, row in enumerate(document["data"]["rows"]):
             assert row[1] == density.sheet(1)[i]
             assert row[2] == density.sheet(-1)[i]
@@ -118,7 +139,7 @@ class TestChunkedDensityOutput:
     )
     def test_output_parses_to_library_values(self, capsys, grids, fmt, chunked):
         state, delta_s = (stokes_eigenstate(2, +1), 0.6) if len(grids) == 1 else (bell_state(), 2.0)
-        expected = (single_outcome_density if len(grids) == 1 else coincidence_density)(state, delta_s, *grids)
+        expected = outcome_density(state, delta_s, *grids)
         cells = expected.values.size
         assert (cells > 2**20) == chunked and abs(cells - 2**20) < 2**12
         runs = sum(1 for _ in measurement._density_chunks(state, delta_s, grids))
@@ -294,7 +315,7 @@ class TestErrorsAndExitCodes:
         def explode(*args, **kwargs):
             raise IllConditionedDesignError(5.0, 1e12)
 
-        monkeypatch.setattr(cli, "quasiprob_table_pair", explode)
+        monkeypatch.setattr(cli, "quasiprob_table", explode)
         code, _, err = run_cli(capsys, "kdist")
         assert code == 3
         assert "ill-conditioned" in err
@@ -313,8 +334,10 @@ class TestErrorsAndExitCodes:
             (b"amplitudes", "is not valid JSON"),
             (b"[]", "must contain an 'amplitudes' list"),
             (b'{"amplitudes": [[1, 0]]}', "must contain an 'amplitudes' list"),
+            # Python 3.10.0 to 3.10.6 parse any integer, and fail later at the amplitude.
+            (HUGE_INTEGER_STATE.encode(), ""),
         ],
-        ids=["not-utf8", "too-deep", "not-json", "no-amplitudes", "one-amplitude"],
+        ids=["not-utf8", "too-deep", "not-json", "no-amplitudes", "one-amplitude", "huge-integer"],
     )
     def test_malformed_state_file_is_usage_error(self, capsys, tmp_path, content, message):
         path = tmp_path / "state.json"
@@ -451,16 +474,54 @@ class TestErrorsAndExitCodes:
         assert code == 4 and "No space left" in err
         assert not target.exists()
 
-    def test_exception_mid_stream_removes_partial_file(self, tmp_path, monkeypatch):
+    def test_exception_mid_stream_removes_partial_file(self, capsys, tmp_path, monkeypatch):
         def fail_after_first_chunk(*args):
             yield np.full((1, 2), 0.25)
             raise RuntimeError("formatting failed")
 
         monkeypatch.setattr(cli, "_density_chunks", fail_after_first_chunk)
         target = tmp_path / "out.csv"
-        with pytest.raises(RuntimeError, match="formatting failed"):
-            cli.main(["single", "--out", str(target)])
+        code, _, err = run_cli(capsys, "single", "--out", str(target))
+        assert (code, err) == (5, "error: internal error: RuntimeError: formatting failed\n")
         assert not target.exists()
+
+    def test_unexpected_exception_exits_five_in_one_line(self, capsys, monkeypatch):
+        def explode(args):
+            raise RuntimeError("first line\nsecond line")
+
+        help_text, _, *options = cli._COMMANDS["bound"]
+        monkeypatch.setitem(cli._COMMANDS, "bound", (help_text, explode, *options))
+        code, out, err = run_cli(capsys, "bound")
+        assert (code, out, err) == (5, "", "error: internal error: RuntimeError: first line second line\n")
+
+    def test_keyboard_interrupt_propagates(self, monkeypatch):
+        def interrupt(args):
+            raise KeyboardInterrupt
+
+        help_text, _, *options = cli._COMMANDS["bound"]
+        monkeypatch.setitem(cli._COMMANDS, "bound", (help_text, interrupt, *options))
+        with pytest.raises(KeyboardInterrupt):
+            cli.main(["bound"])
+
+    @settings(max_examples=150, deadline=None)
+    @given(command=st.sampled_from(["single", "pair", "table", "kdist"]), text=state_documents())
+    @example(command="single", text=HUGE_INTEGER_STATE)
+    def test_any_state_amplitudes_exit_zero_or_two(self, tmp_path_factory, command, text):
+        path = tmp_path_factory.mktemp("state") / "state.json"
+        path.write_text(text)
+        argv = [command, "--state-file", str(path)]
+        if command in ("single", "pair"):
+            argv += ["--grid", "-2:2:1"]
+        out, err = io.StringIO(), io.StringIO()
+        # A warning would print lines of its own to stderr; as an error it exits 5.
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = cli.main(argv)
+        assert code in (0, 2)
+        if code == 2:
+            assert out.getvalue() == "" and err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        else:
+            assert err.getvalue() == ""
 
     def test_state_file_round_trip_matches_named_state(self, capsys, tmp_path):
         root_half = 1.0 / math.sqrt(2.0)
@@ -520,6 +581,20 @@ class TestClosedStdout:
         assert process.wait(timeout=60) == 4
         assert "Traceback" not in stderr
         assert "error: cannot write" in stderr
+
+    def test_closed_pipe_shared_with_stderr_exits_four(self):
+        # As in "weakpol single 2>&1 | head -1": the error message cannot be written either.
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        process = subprocess.Popen(
+            [sys.executable, "-m", "weakpol.cli", "single", "--grid", "-6:6:0.001"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.STDOUT,
+            env=env,
+        )
+        assert process.stdout.readline() == b"s1m,p_s2_plus,p_s2_minus\n"
+        process.stdout.close()
+        assert process.wait(timeout=60) == 4
 
     @pytest.mark.parametrize("command", ["bound", "check"])
     def test_stdout_closed_at_start_exits_four_without_traceback(self, command):

@@ -14,15 +14,14 @@ from weakpol.measurement import (
     OutcomeDensity,
     PAIR_LABELS,
     PointerGrid,
-    coincidence_density,
     completeness_defect,
     eigenstate_density_closed_form,
     measurement_kernel,
-    single_outcome_density,
+    outcome_density,
     validate_resolution,
 )
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
-from weakpol.quasiprob import deconvolve, quasiprob_table_pair, quasiprob_table_single, reconstruct_density
+from weakpol.quasiprob import deconvolve, quasiprob_table, reconstruct_density
 
 from conftest import random_pure_state
 
@@ -108,7 +107,7 @@ class TestSingleOutcomeDensity:
         # Oracle: the closed form at m=0 is exp(-1/(2 ds^2)) / sqrt(2 pi ds^2),
         # which evaluates to 0.16579523132124782 at ds=0.6; the s2=-1 sheet
         # carries a sinh(0)^2 = 0 factor there.
-        density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
         center = 600
         expected = math.exp(-1.0 / 0.72) / math.sqrt(2.0 * math.pi * 0.36)
         assert density.sheet(1)[center] == pytest.approx(expected, abs=1e-12)
@@ -118,7 +117,7 @@ class TestSingleOutcomeDensity:
     @pytest.mark.parametrize("delta_s", [0.3, 0.6, 1.0, 2.0])
     def test_matches_closed_form_oracle(self, delta_s):
         grid = PointerGrid(-4, 4, 0.01)
-        density = single_outcome_density(stokes_eigenstate(2, +1), delta_s, grid)
+        density = outcome_density(stokes_eigenstate(2, +1), delta_s, grid)
         p_plus, p_minus = eigenstate_density_closed_form(delta_s, grid.points())
         assert np.max(np.abs(density.sheet(1) - p_plus)) < 1e-12
         assert np.max(np.abs(density.sheet(-1) - p_minus)) < 1e-12
@@ -126,7 +125,7 @@ class TestSingleOutcomeDensity:
     def test_matches_literal_kernel_application(self):
         state = stokes_eigenstate(2, +1)
         grid = PointerGrid(-3, 3, 0.5)
-        density = single_outcome_density(state, 0.6, grid)
+        density = outcome_density(state, 0.6, grid)
         for i, m in enumerate(grid.points()):
             kernel = measurement_kernel(stokes_operator(1), 0.6, float(m))
             for s2 in (1, -1):
@@ -134,25 +133,37 @@ class TestSingleOutcomeDensity:
                 assert density.sheet(s2)[i] == pytest.approx(literal, abs=1e-14)
 
     def test_parity_symmetry_of_eigenstate_density(self):
-        density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-4, 4, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-4, 4, 0.01))
         assert np.allclose(density.values, density.values[::-1], atol=1e-15)
 
     def test_normalization(self):
-        density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
         assert density.integrate() == pytest.approx(1.0, abs=1e-6)
 
     def test_back_action_populates_other_outcome(self):
-        density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
         at_two = int(round((2.0 - (-6.0)) / 0.01))
         assert density.sheet(-1)[at_two] > 0.0
 
     def test_wrong_dimension_rejected(self):
         with pytest.raises(ValueError, match="dimension 2"):
-            single_outcome_density(bell_state(), 0.6, PointerGrid(-6, 6, 0.1))
+            outcome_density(bell_state(), 0.6, PointerGrid(-6, 6, 0.1))
 
     def test_limit_resolution_rejected(self):
         with pytest.raises(ValueError):
-            single_outcome_density(stokes_eigenstate(2, +1), LIMIT, PointerGrid(-6, 6, 0.1))
+            outcome_density(stokes_eigenstate(2, +1), LIMIT, PointerGrid(-6, 6, 0.1))
+
+
+class TestArmCount:
+    """The number of grids is the number of photons, from 1 to 3."""
+
+    def test_no_grid_rejected(self):
+        with pytest.raises(ValueError, match="1 to 3 photons"):
+            outcome_density(stokes_eigenstate(2, +1), 0.6)
+
+    def test_four_photons_rejected(self):
+        with pytest.raises(ValueError, match="1 to 3 photons"):
+            outcome_density(np.full(16, 0.25), 0.6, *[PointerGrid(-1, 1, 1)] * 4)
 
 
 class TestClosedForm:
@@ -181,7 +192,7 @@ class TestClosedForm:
 @pytest.fixture(scope="module")
 def bell_density():
     grid = PointerGrid(-14, 14, 0.05)
-    return coincidence_density(bell_state(), 2.0, grid, grid)
+    return outcome_density(bell_state(), 2.0, grid, grid)
 
 
 class TestCoincidenceDensity:
@@ -209,7 +220,7 @@ class TestCoincidenceDensity:
         }
         for _ in range(3):
             state = random_pure_state(rng, 4)
-            density = coincidence_density(state, 0.6, grid_a, grid_b)
+            density = outcome_density(state, 0.6, grid_a, grid_b)
             for i, ma in enumerate(grid_a.points()):
                 kernel_a = measurement_kernel(two_photon_stokes(1, "a"), 0.6, float(ma))
                 for k, mb in enumerate(grid_b.points()):
@@ -221,7 +232,7 @@ class TestCoincidenceDensity:
     def test_wrong_dimension_rejected(self):
         grid = PointerGrid(-8, 8, 0.5)
         with pytest.raises(ValueError, match="dimension 4"):
-            coincidence_density(stokes_eigenstate(2, +1), 1.0, grid, grid)
+            outcome_density(stokes_eigenstate(2, +1), 1.0, grid, grid)
 
 
 class TestDensityChunks:
@@ -263,14 +274,14 @@ class TestDensityChunks:
     def test_a_lone_chunk_is_the_density(self, monkeypatch):
         chunk = np.ones((3, 2))
         monkeypatch.setattr(measurement, "_density_chunks", lambda *args: iter([chunk]))
-        assert single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-1, 1, 1)).values is chunk
+        assert outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-1, 1, 1)).values is chunk
 
     @pytest.mark.parametrize("grid", [PointerGrid(-14, 14, 1e-7), PointerGrid(-14, 14, 0.005)])
     def test_over_the_size_budget_raises_before_allocating(self, grid):
         tracemalloc.start()
         try:
             with pytest.raises(ValueError, match="over the size budget"):
-                coincidence_density(bell_state(), 2.0, grid, grid)
+                outcome_density(bell_state(), 2.0, grid, grid)
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
@@ -280,11 +291,11 @@ class TestNonnegativity:
     def test_densities_of_random_states_are_nonnegative(self, rng):
         grid_1d = PointerGrid(-6, 6, 0.02)
         for _ in range(25):
-            density = single_outcome_density(random_pure_state(rng, 2), 0.6, grid_1d)
+            density = outcome_density(random_pure_state(rng, 2), 0.6, grid_1d)
             assert density.values.min() >= -1e-12
         grid_2d = PointerGrid(-6, 6, 0.1)
         for _ in range(25):
-            density = coincidence_density(random_pure_state(rng, 4), 0.6, grid_2d, grid_2d)
+            density = outcome_density(random_pure_state(rng, 4), 0.6, grid_2d, grid_2d)
             assert density.values.min() >= -1e-12
 
     def test_pair_labels_cover_all_four_sheets(self):
@@ -303,11 +314,11 @@ class TestResolutionRange:
         grid = PointerGrid(-2, 2, 0.5)
         yplus = stokes_eigenstate(2, +1)
         calls = [
-            lambda: single_outcome_density(yplus, delta_s, grid).values,
-            lambda: coincidence_density(bell_state(), delta_s, grid, grid).values,
-            lambda: list(quasiprob_table_single(yplus, delta_s).entries.values()),
-            lambda: list(quasiprob_table_pair(bell_state(), delta_s).entries.values()),
-            lambda: reconstruct_density(quasiprob_table_pair(bell_state(), delta_s), grid, grid).values,
+            lambda: outcome_density(yplus, delta_s, grid).values,
+            lambda: outcome_density(bell_state(), delta_s, grid, grid).values,
+            lambda: list(quasiprob_table(yplus, delta_s).entries.values()),
+            lambda: list(quasiprob_table(bell_state(), delta_s).entries.values()),
+            lambda: reconstruct_density(quasiprob_table(bell_state(), delta_s), grid, grid).values,
             lambda: eigenstate_density_closed_form(delta_s, grid.points()),
             lambda: measurement_kernel(stokes_operator(1), delta_s, 0.5),
             lambda: completeness_defect(stokes_operator(1), delta_s, grid),
@@ -325,7 +336,7 @@ class TestResolutionRange:
                 assert np.isfinite(np.asarray(call())).all()
             # The fit may refuse the grid or the design, but only with ValueError.
             try:
-                table = deconvolve(single_outcome_density(yplus, delta_s, PointerGrid(-8, 8, 0.5)), delta_s)
+                table = deconvolve(outcome_density(yplus, delta_s, PointerGrid(-8, 8, 0.5)), delta_s)
             except ValueError:
                 return
             assert np.isfinite(list(table.entries.values())).all()

@@ -5,25 +5,23 @@ from itertools import product
 import numpy as np
 import pytest
 
+import weakpol
+from weakpol import measurement, quasiprob
 from weakpol.linalg import expectation
 from weakpol.measurement import (
     LIMIT,
     OutcomeDensity,
     PointerGrid,
-    _density,
-    coincidence_density,
     measurement_kernel,
-    single_outcome_density,
+    outcome_density,
 )
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
 from weakpol.quasiprob import (
     IllConditionedDesignError,
-    _analytic_table,
     deconvolve,
     k_distribution,
     k_value,
-    quasiprob_table_pair,
-    quasiprob_table_single,
+    quasiprob_table,
     reconstruct_density,
 )
 
@@ -34,7 +32,7 @@ ROOT_TWO = math.sqrt(2.0)
 
 class TestSingleTable:
     def test_limit_table_for_s2_plus_eigenstate(self):
-        table = quasiprob_table_single(stokes_eigenstate(2, +1), LIMIT)
+        table = quasiprob_table(stokes_eigenstate(2, +1), LIMIT)
         expected = {
             (-1, 1): 0.25,
             (0, 1): 0.5,
@@ -50,7 +48,7 @@ class TestSingleTable:
 
     @pytest.mark.parametrize("delta_s", [0.5, 1.0, 2.0])
     def test_finite_resolution_damps_cross_terms_only(self, delta_s):
-        table = quasiprob_table_single(stokes_eigenstate(2, +1), delta_s)
+        table = quasiprob_table(stokes_eigenstate(2, +1), delta_s)
         damping = math.exp(-1.0 / (2.0 * delta_s**2))
         for s2 in (1, -1):
             assert table.entries[(1, s2)] == pytest.approx(0.25, abs=1e-12)
@@ -60,7 +58,7 @@ class TestSingleTable:
         assert table.total == pytest.approx(1.0, abs=1e-12)
 
     def test_s1_eigenstate_concentrates_on_one_column(self):
-        table = quasiprob_table_single(stokes_eigenstate(1, +1), LIMIT)
+        table = quasiprob_table(stokes_eigenstate(1, +1), LIMIT)
         assert table.entries[(1, 1)] == pytest.approx(0.5, abs=1e-12)
         assert table.entries[(1, -1)] == pytest.approx(0.5, abs=1e-12)
         for label in [(-1, 1), (-1, -1), (0, 1), (0, -1)]:
@@ -68,7 +66,7 @@ class TestSingleTable:
 
     def test_zero_marginal_for_random_states(self, rng):
         for _ in range(20):
-            table = quasiprob_table_single(random_pure_state(rng, 2), LIMIT)
+            table = quasiprob_table(random_pure_state(rng, 2), LIMIT)
             assert abs(table.entries[(0, 1)] + table.entries[(0, -1)]) < 1e-12
 
     def test_moment_reproduction_at_limit(self, rng):
@@ -77,7 +75,7 @@ class TestSingleTable:
         symmetrized = (s1 @ s2 + s2 @ s1) / 2.0
         for _ in range(20):
             state = random_pure_state(rng, 2)
-            table = quasiprob_table_single(state, LIMIT)
+            table = quasiprob_table(state, LIMIT)
             m1 = sum(w * label[0] for label, w in table.entries.items())
             m2 = sum(w * label[1] for label, w in table.entries.items())
             m12 = sum(w * label[0] * label[1] for label, w in table.entries.items())
@@ -88,7 +86,7 @@ class TestSingleTable:
 
 @pytest.fixture(scope="module")
 def limit_table():
-    return quasiprob_table_pair(bell_state(), LIMIT)
+    return quasiprob_table(bell_state(), LIMIT)
 
 
 class TestPairTable:
@@ -107,7 +105,7 @@ class TestPairTable:
 
     def test_zero_hyper_marginals(self, rng):
         for _ in range(20):
-            table = quasiprob_table_pair(random_pure_state(rng, 4), LIMIT)
+            table = quasiprob_table(random_pure_state(rng, 4), LIMIT)
             zero_a = sum(w for (la, lb), w in table.entries.items() if la[0] == 0)
             zero_b = sum(w for (la, lb), w in table.entries.items() if lb[0] == 0)
             assert abs(zero_a) < 1e-12
@@ -121,7 +119,7 @@ class TestPairTable:
         }
         for _ in range(20):
             state = random_pure_state(rng, 4)
-            table = quasiprob_table_pair(state, LIMIT)
+            table = quasiprob_table(state, LIMIT)
             for (i, j), operator in operators.items():
                 moment = sum(
                     w * la[i - 1] * lb[j - 1] for (la, lb), w in table.entries.items()
@@ -134,22 +132,22 @@ class TestReconstruction:
         grid = PointerGrid(-6, 6, 0.01)
         for _ in range(10):
             state = random_pure_state(rng, 2)
-            table = quasiprob_table_single(state, 0.6)
+            table = quasiprob_table(state, 0.6)
             rebuilt = reconstruct_density(table, grid)
-            direct = single_outcome_density(state, 0.6, grid)
+            direct = outcome_density(state, 0.6, grid)
             assert np.max(np.abs(rebuilt.values - direct.values)) < 1e-10
 
     def test_pair_rebuilds_measured_density(self, rng):
         grid = PointerGrid(-8, 8, 0.1)
         for _ in range(3):
             state = random_pure_state(rng, 4)
-            table = quasiprob_table_pair(state, 1.0)
+            table = quasiprob_table(state, 1.0)
             rebuilt = reconstruct_density(table, grid, grid)
-            direct = coincidence_density(state, 1.0, grid, grid)
+            direct = outcome_density(state, 1.0, grid, grid)
             assert np.max(np.abs(rebuilt.values - direct.values)) < 1e-10
 
     def test_negative_weights_never_surface_in_the_density(self):
-        table = quasiprob_table_pair(bell_state(), 2.0)
+        table = quasiprob_table(bell_state(), 2.0)
         assert min(table.entries.values()) < -1e-3
         grid = PointerGrid(-14, 14, 0.1)
         rebuilt = reconstruct_density(table, grid, grid)
@@ -158,12 +156,12 @@ class TestReconstruction:
     @pytest.mark.parametrize("arms,grids", [(1, 2), (2, 1), (2, 3)])
     def test_one_grid_per_photon(self, arms, grids):
         state = stokes_eigenstate(2, +1) if arms == 1 else bell_state()
-        table = (quasiprob_table_single if arms == 1 else quasiprob_table_pair)(state, 0.6)
+        table = quasiprob_table(state, 0.6)
         with pytest.raises(ValueError, match=f"a {arms}-photon table needs one grid per photon, got {grids} grid"):
             reconstruct_density(table, *[PointerGrid(-6, 6, 0.1)] * grids)
 
     def test_limit_table_cannot_be_remixed(self):
-        table = quasiprob_table_single(stokes_eigenstate(2, +1), LIMIT)
+        table = quasiprob_table(stokes_eigenstate(2, +1), LIMIT)
         with pytest.raises(ValueError):
             reconstruct_density(table, PointerGrid(-6, 6, 0.1))
 
@@ -172,16 +170,16 @@ class TestDeconvolve:
     def test_recovers_single_table(self):
         grid = PointerGrid(-8, 8, 0.01)
         state = stokes_eigenstate(2, +1)
-        recovered = deconvolve(single_outcome_density(state, 1.0, grid), 1.0)
-        analytic = quasiprob_table_single(state, 1.0)
+        recovered = deconvolve(outcome_density(state, 1.0, grid), 1.0)
+        analytic = quasiprob_table(state, 1.0)
         for label, weight in analytic.entries.items():
             assert recovered.entries[label] == pytest.approx(weight, abs=1e-8)
 
     def test_recovers_pair_table(self):
         grid = PointerGrid(-8, 8, 0.05)
         state = bell_state()
-        recovered = deconvolve(coincidence_density(state, 1.0, grid, grid), 1.0)
-        analytic = quasiprob_table_pair(state, 1.0)
+        recovered = deconvolve(outcome_density(state, 1.0, grid, grid), 1.0)
+        analytic = quasiprob_table(state, 1.0)
         for label, weight in analytic.entries.items():
             assert recovered.entries[label] == pytest.approx(weight, abs=1e-6)
 
@@ -223,12 +221,12 @@ class TestDeconvolve:
         assert excinfo.value.condition_number == pytest.approx(expected, rel=1e-6)
 
     def test_insufficient_grid_coverage_rejected(self):
-        density = single_outcome_density(stokes_eigenstate(2, +1), 1.0, PointerGrid(-4, 4, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 1.0, PointerGrid(-4, 4, 0.01))
         with pytest.raises(ValueError, match="cover"):
             deconvolve(density, 1.0)
 
     def test_limit_resolution_rejected(self):
-        density = single_outcome_density(stokes_eigenstate(2, +1), 1.0, PointerGrid(-8, 8, 0.01))
+        density = outcome_density(stokes_eigenstate(2, +1), 1.0, PointerGrid(-8, 8, 0.01))
         with pytest.raises(ValueError):
             deconvolve(density, LIMIT)
 
@@ -256,7 +254,7 @@ class TestKValue:
 
 class TestKDistribution:
     def test_exact_weights_for_limit_table(self):
-        distribution = k_distribution(quasiprob_table_pair(bell_state(), LIMIT))
+        distribution = k_distribution(quasiprob_table(bell_state(), LIMIT))
         weights = distribution.weights
         assert weights[2] == pytest.approx((4 + 3 * ROOT_TWO) / 8, abs=1e-12)
         assert weights[-2] == pytest.approx((4 - 3 * ROOT_TWO) / 8, abs=1e-12)
@@ -265,12 +263,12 @@ class TestKDistribution:
         assert weights[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_sum_and_mean(self):
-        distribution = k_distribution(quasiprob_table_pair(bell_state(), LIMIT))
+        distribution = k_distribution(quasiprob_table(bell_state(), LIMIT))
         assert distribution.total() == pytest.approx(1.0, abs=1e-12)
         assert distribution.mean() == pytest.approx(2.0 * ROOT_TWO, abs=1e-12)
 
     def test_rejects_single_photon_table(self):
-        table = quasiprob_table_single(stokes_eigenstate(2, +1), LIMIT)
+        table = quasiprob_table(stokes_eigenstate(2, +1), LIMIT)
         with pytest.raises(ValueError, match="pair"):
             k_distribution(table)
 
@@ -291,10 +289,27 @@ def kron(*factors):
     return reduce(np.kron, factors)
 
 
+class TestArmCount:
+    @pytest.mark.parametrize("size", [1, 3, 16])
+    def test_state_of_other_than_two_four_or_eight_amplitudes_rejected(self, size):
+        with pytest.raises(ValueError, match="photon"):
+            quasiprob_table(np.full(size, size**-0.5), 1.0)
+
+    def test_twin_names_are_aliases_of_the_arm_generic_functions(self):
+        # The benchmark checks CLI output bit for bit against coincidence_density.
+        assert measurement.single_outcome_density is measurement.outcome_density
+        assert measurement.coincidence_density is measurement.outcome_density
+        assert quasiprob.quasiprob_table_single is quasiprob.quasiprob_table
+        assert quasiprob.quasiprob_table_pair is quasiprob.quasiprob_table
+        assert len(weakpol.__all__) == 30 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
+        twins = ("single_outcome_density", "coincidence_density", "quasiprob_table_single", "quasiprob_table_pair")
+        assert not any(hasattr(weakpol, name) for name in twins)
+
+
 class TestThreePhotons:
     def test_density_is_the_product_of_the_kernels(self):
         grid = PointerGrid(-2, 2, 1.0)
-        density = _density(GHZ, 0.6, (grid, grid, grid))
+        density = outcome_density(GHZ, 0.6, grid, grid, grid)
         assert density.labels == tuple(product((1, -1), repeat=3))
         kernels = [measurement_kernel(stokes_operator(1), 0.6, m) for m in grid.points()]
         for cell in np.ndindex(density.values.shape):
@@ -305,13 +320,13 @@ class TestThreePhotons:
 
     def test_table_rebuilds_the_density(self):
         grid = PointerGrid(-4, 4, 0.5)
-        rebuilt = reconstruct_density(_analytic_table(GHZ, 0.6, 3), grid, grid, grid)
-        direct = _density(GHZ, 0.6, (grid, grid, grid))
+        rebuilt = reconstruct_density(quasiprob_table(GHZ, 0.6), grid, grid, grid)
+        direct = outcome_density(GHZ, 0.6, grid, grid, grid)
         assert rebuilt.labels == direct.labels
         assert np.max(np.abs(rebuilt.values - direct.values)) < 1e-14
 
     def test_limit_table_moments_are_operator_expectations(self):
-        table = _analytic_table(GHZ, LIMIT, 3)
+        table = quasiprob_table(GHZ, LIMIT)
         assert len(table.entries) == 6**3
         for axes in product((1, 2), repeat=3):
             moment = sum(w * math.prod(label[i - 1] for label, i in zip(key, axes)) for key, w in table.entries.items())
@@ -320,7 +335,7 @@ class TestThreePhotons:
 
     def test_mermin_distribution_beats_the_classical_bound_with_negative_weight(self):
         weights = {}
-        for key, w in _analytic_table(GHZ, LIMIT, 3).entries.items():
+        for key, w in quasiprob_table(GHZ, LIMIT).entries.items():
             weights[mermin(*key)] = weights.get(mermin(*key), 0.0) + w
         assert sum(weights.values()) == pytest.approx(1.0, abs=1e-12)
         assert sum(m * w for m, w in weights.items()) == pytest.approx(4.0, abs=1e-12)

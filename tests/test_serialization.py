@@ -31,8 +31,7 @@ from weakpol.measurement import (
     SINGLE_LABELS,
     OutcomeDensity,
     PointerGrid,
-    coincidence_density,
-    single_outcome_density,
+    outcome_density,
 )
 from weakpol.polarization import bell_expectation, bell_state, classical_chsh_bound, stokes_eigenstate
 from weakpol.quasiprob import (
@@ -40,8 +39,7 @@ from weakpol.quasiprob import (
     PAIR_ROW_LABELS,
     S1_CENTERS,
     k_distribution,
-    quasiprob_table_pair,
-    quasiprob_table_single,
+    quasiprob_table,
 )
 
 SINGLE_COLUMNS = ["s1m", "p_s2_plus", "p_s2_minus"]
@@ -105,7 +103,7 @@ def test_single_matches_reference(tmp_path, fmt):
     data = on_each_token_source(
         lambda: run_to_file(tmp_path, "single", "--delta-s", "0.6", "--grid", "-3:3:0.05", "--format", fmt)
     )
-    density = single_outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-3.0, 3.0, 0.05))
+    density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-3.0, 3.0, 0.05))
     config = {"state": "y+", "delta_s": 0.6, "grid": "-3.0:3.0:0.05"}
     assert data == each_source(reference_text(fmt, "single", config, density, SINGLE_COLUMNS).encode("utf-8"))
 
@@ -115,7 +113,7 @@ def test_pair_with_separate_arm_b_grid_matches_reference(tmp_path, fmt):
     argv = ["pair", "--delta-s", "1.3", "--grid", "-2:2:0.25", "--grid-b", "-1:1.5:0.5", "--format", fmt]
     data = on_each_token_source(lambda: run_to_file(tmp_path, *argv))
     grid_a, grid_b = PointerGrid(-2.0, 2.0, 0.25), PointerGrid(-1.0, 1.5, 0.5)
-    density = coincidence_density(bell_state(), 1.3, grid_a, grid_b)
+    density = outcome_density(bell_state(), 1.3, grid_a, grid_b)
     config = {"state": "bell", "delta_s": 1.3, "grid": "-2.0:2.0:0.25", "grid_b": "-1.0:1.5:0.5"}
     assert data == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS).encode("utf-8"))
 
@@ -127,7 +125,7 @@ def test_stdout_matches_reference(capsys, fmt):
         return capsys.readouterr().out
 
     outputs = on_each_token_source(stdout)
-    density = coincidence_density(bell_state(), 2.0, PointerGrid(-1.0, 1.0, 0.5), PointerGrid(-1.0, 1.0, 0.5))
+    density = outcome_density(bell_state(), 2.0, PointerGrid(-1.0, 1.0, 0.5), PointerGrid(-1.0, 1.0, 0.5))
     config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:0.5", "grid_b": "-1.0:1.0:0.5"}
     assert outputs == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS))
 
@@ -195,7 +193,7 @@ def test_streamed_text_spans_several_blocks(monkeypatch, fmt):
     # 15 rows in blocks of 4: three full blocks and a short last one.
     monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 0.5), PointerGrid(0.0, 1.0, 0.5)
-    density = coincidence_density(bell_state(), 0.7, grid_a, grid_b)
+    density = outcome_density(bell_state(), 0.7, grid_a, grid_b)
     config = {"state": "bell", "delta_s": 0.7}
     # Runs of 2, 2 and 1 arm-a points: blocks end with each chunk, as well as every 4 rows.
     outputs = on_each_token_source(lambda: streamed_text(fmt, "pair", config, density, PAIR_COLUMNS, runs=3))
@@ -270,9 +268,9 @@ def json_document(command, config, data):
 def reference_table(system, delta_s, fmt):
     single = system == "single"
     if single:
-        table = quasiprob_table_single(stokes_eigenstate(2, +1), delta_s)
+        table = quasiprob_table(stokes_eigenstate(2, +1), delta_s)
     else:
-        table = quasiprob_table_pair(bell_state(), delta_s)
+        table = quasiprob_table(bell_state(), delta_s)
     delta_s_config = "inf" if math.isinf(delta_s) else delta_s
     config = {"system": system, "state": "y+" if single else "bell", "delta_s": delta_s_config}
     if fmt == "json":
@@ -293,7 +291,7 @@ def reference_table(system, delta_s, fmt):
 
 
 def reference_kdist(delta_s, fmt):
-    distribution = k_distribution(quasiprob_table_pair(bell_state(), delta_s))
+    distribution = k_distribution(quasiprob_table(bell_state(), delta_s))
     weights = distribution.weights
     ordered = sorted(weights, reverse=True)
     if fmt == "json":
