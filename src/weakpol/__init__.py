@@ -10,7 +10,6 @@ from .linalg import expectation, operator_function, tensor
 from .measurement import (
     LIMIT,
     OutcomeDensity,
-    PAIR_LABELS,
     PointerGrid,
     SINGLE_LABELS,
     completeness_defect,
@@ -47,7 +46,6 @@ __all__ = [
     "KDistribution",
     "OutcomeDensity",
     "PAIR_COLUMN_LABELS",
-    "PAIR_LABELS",
     "PAIR_ROW_LABELS",
     "PointerGrid",
     "QuasiProbTable",

@@ -39,7 +39,6 @@ import numpy as np
 from .measurement import (
     LIMIT,
     PointerGrid,
-    SINGLE_LABELS,
     _density_chunks,
     completeness_defect,
     eigenstate_density_closed_form,
@@ -51,13 +50,9 @@ from .polarization import (
     bell_state,
     classical_chsh_bound,
     stokes_eigenstate,
-    stokes_operator,
 )
 from .quasiprob import (
     IllConditionedDesignError,
-    PAIR_COLUMN_LABELS,
-    PAIR_ROW_LABELS,
-    S1_CENTERS,
     deconvolve,
     k_distribution,
     quasiprob_table,
@@ -353,16 +348,18 @@ def _density_text(
     yield tail
 
 
-# Density commands: arm count, default state, columns. Pair sheet columns:
-# the first sign is arm a's s2, the second is arm b's.
-_DENSITY = {
-    "single": (1, "y+", ["s1m", "p_s2_plus", "p_s2_minus"]),
-    "pair": (2, "bell", ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"]),
+# Systems in order of arm count: default state, density columns (pair: the first sign is arm a's s2, the
+# second arm b's), and the table's CSV corner, JSON label names and column and row label formats.
+_SYSTEMS = {
+    "single": ("y+", ["s1m", "p_s2_plus", "p_s2_minus"], "s2", ("s1", "s2"), "s1={0}", "{0:+d}"),
+    "pair": ("bell", ["s1m_a", "s1m_b", "p_pp", "p_pm", "p_mp", "p_mm"], "(s1b,s2b)\\(s1a,s2a)", ("a", "b"),
+             "({0[0]},{0[1]})", "({0[0]},{0[1]})"),
 }
 
 
 def _cmd_density(args) -> int:
-    arms, default_state, columns = _DENSITY[args.command]
+    arms = [*_SYSTEMS].index(args.command) + 1
+    default_state, columns, *_ = _SYSTEMS[args.command]
     state, state_name = _resolve_state(args, default_state, arms)
     delta_s = _parse_delta_s(args.delta_s, allow_limit=False)
     first = _parse_grid(args.grid)
@@ -392,24 +389,19 @@ def _render(args, config: dict, data, csv_table: tuple[list[str], list[list[str]
 
 def _cmd_table(args) -> int:
     # --system only picks the default state; the state picks the table.
-    state, state_name = _resolve_state(args, "bell" if args.system == "pair" else "y+")
-    system = "single" if state.size == 2 else "pair"
+    state, state_name = _resolve_state(args, _SYSTEMS[args.system or "single"][0])
+    system = [*_SYSTEMS][state.size // 4]  # 2 amplitudes: single, 4: pair
     if args.system not in (None, system):
         raise UsageError(f"--system {args.system} conflicts with a {state.size}-amplitude state")
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
-
-    # Table entries are stored in serialization order.
-    table = quasiprob_table(state, delta_s)
-    if system == "single":
-        records = [{"labels": {"s1": s1, "s2": s2}, "weight": w} for (s1, s2), w in table.entries.items()]
-        header = ["s2"] + [f"s1={s1}" for s1 in S1_CENTERS]
-        rows = [[f"{s2:+d}"] + [repr(table.entries[(s1, s2)]) for s1 in S1_CENTERS] for s2 in SINGLE_LABELS]
-    else:
-        records = [{"labels": {"a": list(a), "b": list(b)}, "weight": w} for (a, b), w in table.entries.items()]
-        header = ["(s1b,s2b)\\(s1a,s2a)"] + [f"({a[0]},{a[1]})" for a in PAIR_COLUMN_LABELS]
-        rows = [
-            [f"({b[0]},{b[1]})"] + [repr(table.entries[(a, b)]) for a in PAIR_COLUMN_LABELS] for b in PAIR_ROW_LABELS
-        ]
+    *_, corner, names, column, row = _SYSTEMS[system]
+    # Table entries come in table order, rows outermost, keyed (column label, row label).
+    entries = quasiprob_table(state, delta_s).entries
+    records = [{"labels": dict(zip(names, key)), "weight": w} for key, w in entries.items()]
+    keys, weights = list(entries), list(map(repr, entries.values()))
+    width = len({label for label, _ in keys})
+    header = [corner] + [column.format(label) for label, _ in keys[:width]]
+    rows = [[row.format(keys[i][1])] + weights[i : i + width] for i in range(0, len(keys), width)]
     config = {"system": system, "state": state_name, "delta_s": _delta_s_config(delta_s)}
     _render(args, config, records, (header, rows))
     return 0
@@ -444,9 +436,8 @@ def _check_results() -> list[tuple[str, bool, str]]:
     def record(name: str, value: float, limit: float):
         results.append((name, value < limit, f"{value:.3e} < {limit:.0e}"))
 
-    s1 = stokes_operator(1)
-    record("completeness defect (delta_s=0.6)", completeness_defect(s1, 0.6, PointerGrid(-8, 8, 1e-3)), 1e-6)
-    record("completeness defect (delta_s=2)", completeness_defect(s1, 2.0, PointerGrid(-14, 14, 1e-3)), 1e-6)
+    record("completeness defect (delta_s=0.6)", completeness_defect(0.6, PointerGrid(-8, 8, 1e-3)), 1e-6)
+    record("completeness defect (delta_s=2)", completeness_defect(2.0, PointerGrid(-14, 14, 1e-3)), 1e-6)
 
     yplus = stokes_eigenstate(2, +1)
     oracle_grid = PointerGrid(-4, 4, 0.01)
@@ -524,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
             command.add_argument("--state", help=f"named input state: {', '.join(sorted(NAMED_STATES))}")
             command.add_argument("--state-file", help="JSON file with an 'amplitudes' list of [re, im] pairs")
             if name == "table":
-                command.add_argument("--system", choices=("single", "pair"), help="one photon or a pair")
+                command.add_argument("--system", choices=tuple(_SYSTEMS), help="one photon or a pair")
             command.add_argument("--delta-s", default=delta_s, help="positive number, or 'inf' in table and kdist")
         if grid:
             command.add_argument("--grid", default=grid, help="pointer grid LO:HI:STEP (for pair: arm a)")
@@ -549,6 +540,9 @@ def _merge_dash_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    # Python sets sys.stderr to None when file descriptor 2 is closed at start.
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w")
     argv = sys.argv[1:] if argv is None else list(argv)
     args = build_parser().parse_args(_merge_dash_values(argv))
     try:

@@ -9,9 +9,10 @@ followed by a projective readout of s2. ``outcome_density`` samples the
 joint density on one uniform pointer grid per photon, for 1 to 3 photons;
 quadrature is the plain step-weighted sum over grid points.
 A large density is computed in chunks of first-arm points, which the CLI
-streams and the library joins, and every density must fit a size budget
-(at most 2**24 cells and 1342177 points per grid), or ``ValueError`` is
-raised before anything grid-sized is allocated.
+streams and the library joins. Every density, rebuild and completeness grid
+must fit a size budget (at most 2**24 cells and 1342177 points per grid),
+and a density's peak (delta_s sqrt(2 pi))**-arms must be a finite float, or
+``ValueError`` is raised before anything grid-sized is allocated.
 The infinite-resolution limit is represented by ``math.inf`` (exported as
 ``LIMIT``) and is only meaningful for the quasi-probability tables, never for
 density evaluation.
@@ -45,19 +46,12 @@ def _readout_labels(arms: int) -> tuple:
     return _bare(product(SINGLE_LABELS, repeat=arms))
 
 
-PAIR_LABELS = _readout_labels(2)
-
-
-# Each arm's s1 eigenvalues, in the order of the arm axes of amplitude tensors.
+# Each arm's s1 eigenvalues, in the order of the arm axes of amplitude tensors, and their projectors (I + e s1)/2.
 _S1_EIGENVALUES = (-1, 1)
+_S1_PROJECTORS = np.array([(np.eye(2) + e * stokes_operator(1)) / 2.0 for e in _S1_EIGENVALUES])
 
 # _ARM[e, s2] = <s2| (I + e s1)/2: project one arm onto s1 = e, read out s2.
-_ARM = np.array(
-    [
-        [stokes_eigenstate(2, s2).conj() @ (np.eye(2) + e * stokes_operator(1)) / 2.0 for s2 in SINGLE_LABELS]
-        for e in _S1_EIGENVALUES
-    ]
-)
+_ARM = np.array([[stokes_eigenstate(2, s2).conj() @ projector for s2 in SINGLE_LABELS] for projector in _S1_PROJECTORS])
 
 _ROOT_TWO_PI = math.sqrt(2.0 * math.pi)
 
@@ -210,27 +204,39 @@ _CELL_BYTES = 16
 _POINT_BYTES = 200
 
 
-def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> Iterator[np.ndarray]:
-    """|<s2 sheet| K(m_a) K(m_b) ... |state>|^2 through the spectral form of each arm's kernel.
+def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
+    """Each grid's points, once O(1) checks show that a density on ``grids`` fits the size budget and the float range.
 
-    The state, ``delta_s`` and the size budget are checked when this is
-    called, and raise ``ValueError``. The values then come in consecutive
-    runs of first-arm points, each of shape (run length, other grid
-    counts..., labels).
+    Else ``ValueError``, before anything grid-sized is allocated. A density's sheets sum to at most
+    (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
     """
-    amplitudes = _amplitudes(state, len(grids))
-    delta_s = validate_resolution(delta_s)
     counts = [grid.count for grid in grids]
-    cells = math.prod(counts) * amplitudes.shape[-1]
+    cells = math.prod(counts) * 2 ** len(grids)
     if cells * _CELL_BYTES > _BUDGET_BYTES or max(counts) * _POINT_BYTES > _BUDGET_BYTES:
         raise ValueError(
             f"a density on {' x '.join(map(str, counts))} grid points ({cells} cells) is over the size budget "
             f"of {_BUDGET_BYTES // _CELL_BYTES} cells and {_BUDGET_BYTES // _POINT_BYTES} points per grid"
         )
+    # A float product that overflows is inf; it does not raise.
+    if math.prod([1.0 / (delta_s * _ROOT_TWO_PI)] * len(grids)) == math.inf:
+        raise ValueError(f"delta_s {delta_s!r} is too small for {len(grids)} photons: the density would overflow")
+    return [grid.points() for grid in grids]
+
+
+def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> Iterator[np.ndarray]:
+    """|<s2 sheet| K(m_a) K(m_b) ... |state>|^2 through the spectral form of each arm's kernel.
+
+    The state, ``delta_s``, the size budget and the float range are checked
+    when this is called, and raise ``ValueError``. The values then come in
+    consecutive runs of first-arm points, each of shape (run length, other
+    grid counts..., labels).
+    """
+    amplitudes = _amplitudes(state, len(grids))
+    delta_s = validate_resolution(delta_s)
     # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4).
     norm = math.sqrt(delta_s * _ROOT_TWO_PI)
-    first, *rest = [_gaussians(grid.points(), _S1_EIGENVALUES, delta_s, 0.25) / norm for grid in grids]
-    points = counts[0]
+    first, *rest = [_gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) / norm for m in _grid_points(grids, delta_s)]
+    points, cells = len(first), math.prod(map(len, [first, *rest])) * amplitudes.shape[-1]
     rows = points if cells <= _ONE_CHUNK_CELLS else max(1, _CHUNK_CELLS // (cells // points))
     runs = -(-points // rows)
     # Runs of equal length within one point: a one-photon run of a single
@@ -287,18 +293,17 @@ def eigenstate_density_closed_form(delta_s: float, m):
     return envelope * ((1.0 + np.exp(-r)) / 2.0) ** 2, envelope * (np.expm1(-r) / 2.0) ** 2
 
 
-def completeness_defect(target, delta_s: float, grid: PointerGrid) -> float:
-    """Max-norm deviation of the pointer-integrated kernels from the identity.
+def completeness_defect(delta_s: float, grid: PointerGrid) -> float:
+    """Max-norm deviation of the pointer-integrated s1 kernels from the identity.
 
     Approximates the integral of P(m)^H P(m) dm by the step-weighted sum over
-    the grid; a small defect certifies that the kernel family is a valid
-    measurement on that grid.
+    the grid: sum_e w_e (I + e s1)/2, where w_e sums the Gaussian of
+    variance delta_s^2 centered at the eigenvalue e. A small defect certifies
+    that the kernel family is a valid measurement on that grid.
     """
     delta_s = validate_resolution(delta_s)
-    points = grid.points()
-
-    def integrated_kernel(x: float) -> float:
-        return grid.step * float(np.sum(_gaussians(points, [x], delta_s, 0.5))) / (delta_s * _ROOT_TWO_PI)
-
-    quadrature = operator_function(target, integrated_kernel)
-    return float(np.max(np.abs(quadrature - np.eye(quadrature.shape[0]))))
+    (points,) = _grid_points((grid,), delta_s)
+    # One row per eigenvalue, so that each row sum is numpy's pairwise sum over contiguous values.
+    gaussians = _gaussians(np.array(_S1_EIGENVALUES, dtype=float), points, delta_s, 0.5)
+    weights = grid.step * np.sum(gaussians, axis=1) / (delta_s * _ROOT_TWO_PI)
+    return float(np.max(np.abs(np.tensordot(weights, _S1_PROJECTORS, 1) - np.eye(2))))

@@ -35,6 +35,7 @@ from .measurement import (
     _bare,
     _contract_arms,
     _gaussians,
+    _grid_points,
     validate_resolution,
 )
 from .polarization import chsh_combination
@@ -165,12 +166,13 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
 
     Inverse of the interpretation behind the tables: at finite resolution the
     result equals the directly computed outcome density at every grid point.
+    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range.
     """
     delta_s = validate_resolution(table.delta_s)
     if len(grids) != table.arms:
         raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
     weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
-    values = _contract_arms([_gaussian_columns(g.points(), delta_s) for g in grids], weights)
+    values = _contract_arms([_gaussian_columns(points, delta_s) for points in _grid_points(grids, delta_s)], weights)
     return OutcomeDensity(grids=grids, values=values)
 
 

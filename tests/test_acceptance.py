@@ -238,9 +238,8 @@ def test_criterion_07_coincidence_peak_geometry():
 
 
 def test_criterion_08_measurement_completeness():
-    s1 = stokes_operator(1)
-    defect_06 = completeness_defect(s1, 0.6, PointerGrid(-8, 8, 1e-3))
-    defect_2 = completeness_defect(s1, 2.0, PointerGrid(-14, 14, 1e-3))
+    defect_06 = completeness_defect(0.6, PointerGrid(-8, 8, 1e-3))
+    defect_2 = completeness_defect(2.0, PointerGrid(-14, 14, 1e-3))
     ok = defect_06 < 1e-6 and defect_2 < 1e-6
     _report(8, ok, f"completeness defects {defect_06:.2e} (ds=0.6), {defect_2:.2e} (ds=2), tol 1e-6")
     assert ok

@@ -608,6 +608,17 @@ class TestClosedStdout:
         assert "Traceback" not in stderr
         assert stderr == "error: cannot write to standard output: it is closed\n"
 
+    @pytest.mark.parametrize(
+        "command,code",
+        [("single --state zz 2>&-", 2), ("table --system pair --state y+ 2>&-", 2), ("bound >&- 2>&-", 4)],
+    )
+    def test_stderr_closed_at_start_keeps_the_exit_code(self, command, code):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # "2>&-" closes file descriptor 2 before Python starts, so sys.stderr is None.
+        argv = ["sh", "-c", f'exec "$0" -m weakpol.cli {command}', sys.executable]
+        assert subprocess.run(argv, env=env, timeout=60).returncode == code
+
 
 class TestDeterminism:
     def test_repeated_runs_are_byte_identical(self, tmp_path):

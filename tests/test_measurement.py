@@ -5,14 +5,14 @@ from itertools import product
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakpol import measurement
+from weakpol.linalg import operator_function
 from weakpol.measurement import (
     LIMIT,
     OutcomeDensity,
-    PAIR_LABELS,
     PointerGrid,
     completeness_defect,
     eigenstate_density_closed_form,
@@ -93,13 +93,27 @@ class TestMeasurementKernel:
 
 class TestCompleteness:
     def test_defect_small_on_adequate_grids(self):
-        s1 = stokes_operator(1)
-        assert completeness_defect(s1, 0.6, PointerGrid(-8, 8, 1e-3)) < 1e-6
-        assert completeness_defect(s1, 2.0, PointerGrid(-14, 14, 1e-3)) < 1e-6
+        assert completeness_defect(0.6, PointerGrid(-8, 8, 1e-3)) < 1e-6
+        assert completeness_defect(2.0, PointerGrid(-14, 14, 1e-3)) < 1e-6
 
     def test_truncated_grid_is_detected(self):
-        defect = completeness_defect(stokes_operator(1), 2.0, PointerGrid(-2, 2, 1e-3))
+        defect = completeness_defect(2.0, PointerGrid(-2, 2, 1e-3))
         assert defect > 0.1
+
+    @pytest.mark.parametrize("delta_s", [0.3, 0.6, 2.0])
+    def test_equals_the_spectral_formula_on_s1(self, delta_s):
+        # The integrated kernel, step sum_m exp(-((m - x)/delta_s)^2/2) / (delta_s sqrt(2 pi)),
+        # as a function of s1 through its eigen-decomposition.
+        norm = delta_s * math.sqrt(2 * math.pi)
+        for grid in (PointerGrid(-8, 8, 1e-3), PointerGrid(-14, 14, 1e-3), PointerGrid(-2, 2, 1e-3)):
+            points = grid.points()
+
+            def integrated_kernel(x):
+                return grid.step * float(np.sum(np.exp(-0.5 * ((points - x) / delta_s) ** 2))) / norm
+
+            quadrature = operator_function(stokes_operator(1), integrated_kernel)
+            spectral = float(np.max(np.abs(quadrature - np.eye(2))))
+            assert completeness_defect(delta_s, grid) == pytest.approx(spectral, abs=1e-15)
 
 
 class TestSingleOutcomeDensity:
@@ -215,12 +229,13 @@ class TestCoincidenceDensity:
     def test_matches_literal_kernel_application(self, rng):
         grid_a = PointerGrid(-2, 2, 0.5)
         grid_b = PointerGrid(-1.5, 2.5, 1.0)
-        readout = {
-            label: np.kron(stokes_eigenstate(2, label[0]), stokes_eigenstate(2, label[1])) for label in PAIR_LABELS
-        }
         for _ in range(3):
             state = random_pure_state(rng, 4)
             density = outcome_density(state, 0.6, grid_a, grid_b)
+            readout = {
+                label: np.kron(stokes_eigenstate(2, label[0]), stokes_eigenstate(2, label[1]))
+                for label in density.labels
+            }
             for i, ma in enumerate(grid_a.points()):
                 kernel_a = measurement_kernel(two_photon_stokes(1, "a"), 0.6, float(ma))
                 for k, mb in enumerate(grid_b.points()):
@@ -278,10 +293,18 @@ class TestDensityChunks:
 
     @pytest.mark.parametrize("grid", [PointerGrid(-14, 14, 1e-7), PointerGrid(-14, 14, 0.005)])
     def test_over_the_size_budget_raises_before_allocating(self, grid):
+        table = quasiprob_table(bell_state(), 2.0)
+        calls = [
+            lambda: outcome_density(bell_state(), 2.0, grid, grid),
+            lambda: reconstruct_density(table, grid, grid),
+            # 2,000,000,001 points: 16 GB for the points alone.
+            lambda: completeness_defect(2.0, PointerGrid(-1e5, 1e5, 1e-4)),
+        ]
         tracemalloc.start()
         try:
-            with pytest.raises(ValueError, match="over the size budget"):
-                outcome_density(bell_state(), 2.0, grid, grid)
+            for call in calls:
+                with pytest.raises(ValueError, match="over the size budget"):
+                    call()
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:
             tracemalloc.stop()
@@ -298,8 +321,9 @@ class TestNonnegativity:
             density = outcome_density(random_pure_state(rng, 4), 0.6, grid_2d, grid_2d)
             assert density.values.min() >= -1e-12
 
-    def test_pair_labels_cover_all_four_sheets(self):
-        assert set(PAIR_LABELS) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+    def test_pair_labels_cover_all_four_sheets(self, bell_density):
+        assert set(bell_density.labels) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+        assert len(bell_density.labels) == bell_density.values.shape[-1]
 
 
 class TestResolutionRange:
@@ -310,9 +334,17 @@ class TestResolutionRange:
 
     @settings(max_examples=150, deadline=None)
     @given(delta_s=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False))
+    @example(delta_s=1e-104)
     def test_every_positive_float_gives_finite_results_or_value_error(self, delta_s):
         grid = PointerGrid(-2, 2, 0.5)
         yplus = stokes_eigenstate(2, +1)
+        ghz = np.zeros(8)
+        ghz[[0, 7]] = 2**-0.5
+        # Three-photon densities peak near (delta_s sqrt(2 pi))**-3, past the float range at 1e-104.
+        three_photons = [
+            lambda: outcome_density(ghz, delta_s, grid, grid, grid).values,
+            lambda: reconstruct_density(quasiprob_table(ghz, delta_s), grid, grid, grid).values,
+        ]
         calls = [
             lambda: outcome_density(yplus, delta_s, grid).values,
             lambda: outcome_density(bell_state(), delta_s, grid, grid).values,
@@ -321,12 +353,12 @@ class TestResolutionRange:
             lambda: reconstruct_density(quasiprob_table(bell_state(), delta_s), grid, grid).values,
             lambda: eigenstate_density_closed_form(delta_s, grid.points()),
             lambda: measurement_kernel(stokes_operator(1), delta_s, 0.5),
-            lambda: completeness_defect(stokes_operator(1), delta_s, grid),
+            lambda: completeness_defect(delta_s, grid),
         ]
         try:
             validate_resolution(delta_s)
         except ValueError:
-            for call in calls:
+            for call in calls + three_photons:
                 with pytest.raises(ValueError):
                     call()
             return
@@ -334,6 +366,12 @@ class TestResolutionRange:
             warnings.simplefilter("error")
             for call in calls:
                 assert np.isfinite(np.asarray(call())).all()
+            for call in three_photons:
+                try:
+                    assert np.isfinite(call()).all()
+                except ValueError:
+                    # Refused only where the peak is past the float range: at 1e-100 it is 1.98e297.
+                    assert delta_s < 1e-100
             # The fit may refuse the grid or the design, but only with ValueError.
             try:
                 table = deconvolve(outcome_density(yplus, delta_s, PointerGrid(-8, 8, 0.5)), delta_s)

@@ -301,7 +301,7 @@ class TestArmCount:
         assert measurement.coincidence_density is measurement.outcome_density
         assert quasiprob.quasiprob_table_single is quasiprob.quasiprob_table
         assert quasiprob.quasiprob_table_pair is quasiprob.quasiprob_table
-        assert len(weakpol.__all__) == 30 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
+        assert len(weakpol.__all__) == 29 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
         twins = ("single_outcome_density", "coincidence_density", "quasiprob_table_single", "quasiprob_table_pair")
         assert not any(hasattr(weakpol, name) for name in twins)
 

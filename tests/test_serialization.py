@@ -27,7 +27,6 @@ from hypothesis.extra.numpy import arrays
 from weakpol import cli
 from weakpol.measurement import (
     LIMIT,
-    PAIR_LABELS,
     SINGLE_LABELS,
     OutcomeDensity,
     PointerGrid,
@@ -171,8 +170,8 @@ def small_grid():
 @st.composite
 def densities(draw):
     grid_list = tuple(draw(st.lists(small_grid(), min_size=1, max_size=2)))
-    labels = SINGLE_LABELS if len(grid_list) == 1 else PAIR_LABELS
-    shape = tuple(grid.count for grid in grid_list) + (len(labels),)
+    sheets = len(OutcomeDensity(grid_list, np.empty(0)).labels)
+    shape = tuple(grid.count for grid in grid_list) + (sheets,)
     values = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
     return OutcomeDensity(grid_list, values)
 
