@@ -14,11 +14,13 @@ tokens, about three times faster; where it spells a float differently from
 ``repr``, the token is padded or taken from ``repr``, so the bytes are the
 same with and without it. table,
 kdist, bound and check build their result once and write it through
-``_render`` in the format ``--format`` names. A write that fails removes the
-partial ``--out`` file. Exit codes: 0 success, 1 failed check, 2 usage error,
-3 numerical guard failure, 4 output I/O error (including a stdout closed at
-start or by its reader), 5 internal error (any other exception, reported in
-one line with its type).
+``_render`` in the format ``--format`` names; table takes its layout from
+the state, one photon for 2 amplitudes and a pair for 4. A write that fails
+removes the partial ``--out`` file. Exit codes: 0 success, 1 failed check,
+2 usage error, 3 numerical guard failure, 4 output I/O error (including a
+stdout closed at start or by its reader), 5 internal error (any other
+exception, reported in one line with its type). A stderr that cannot be
+written loses the message, not the exit code.
 """
 
 from __future__ import annotations
@@ -388,11 +390,9 @@ def _render(args, config: dict, data, csv_table: tuple[list[str], list[list[str]
 
 
 def _cmd_table(args) -> int:
-    # --system only picks the default state; the state picks the table.
-    state, state_name = _resolve_state(args, _SYSTEMS[args.system or "single"][0])
-    system = [*_SYSTEMS][state.size // 4]  # 2 amplitudes: single, 4: pair
-    if args.system not in (None, system):
-        raise UsageError(f"--system {args.system} conflicts with a {state.size}-amplitude state")
+    # The state picks the table: 2 amplitudes, one photon; 4, a pair.
+    state, state_name = _resolve_state(args, _SYSTEMS["single"][0])
+    system = [*_SYSTEMS][state.size // 4]
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
     *_, corner, names, column, row = _SYSTEMS[system]
     # Table entries come in table order, rows outermost, keyed (column label, row label).
@@ -408,7 +408,7 @@ def _cmd_table(args) -> int:
 
 
 def _cmd_kdist(args) -> int:
-    state, state_name = _resolve_state(args, "bell", arms=2)
+    state, state_name = _resolve_state(args, _SYSTEMS["pair"][0], arms=2)
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
     distribution = k_distribution(quasiprob_table(state, delta_s))
     ordered = [(k, w, _round_percent(w)) for k, w in sorted(distribution.weights.items(), reverse=True)]
@@ -452,15 +452,13 @@ def _check_results() -> list[tuple[str, bool, str]]:
         )
     record("closed-form oracle agreement", worst, 1e-12)
 
-    # Per arm count: name, state, the grid and limit of the deconvolution at
-    # delta_s = 1, and the grid and delta_s of the rebuild.
-    cases = [
-        ("single", yplus, (-8, 8, 0.01), 1e-8, (-6, 6, 0.01), 0.6),
-        ("pair", bell_state(), (-8, 8, 0.05), 1e-6, (-14, 14, 0.05), 2.0),
-    ]
+    # Per system, in order of arm count: the grid and limit of the deconvolution
+    # at delta_s = 1. The rebuild takes the system's default state, --delta-s and --grid.
+    fits = {"single": ((-8, 8, 0.01), 1e-8), "pair": ((-8, 8, 0.05), 1e-6)}
     totals, zeros, rebuilds = [], [], []
-    for arms, (name, state, fit_grid, fit_limit, grid, delta_s) in enumerate(cases, 1):
-        fit_grids, grids = [PointerGrid(*fit_grid)] * arms, [PointerGrid(*grid)] * arms
+    for arms, (name, (fit_grid, fit_limit)) in enumerate(fits.items(), 1):
+        state, delta_s = NAMED_STATES[_SYSTEMS[name][0]](), float(_COMMANDS[name][2])
+        fit_grids, grids = [PointerGrid(*fit_grid)] * arms, [_parse_grid(_COMMANDS[name][3])] * arms
         recovered, analytic = deconvolve(outcome_density(state, 1.0, *fit_grids), 1.0), quasiprob_table(state, 1.0)
         diff = max(abs(recovered.entries[k] - analytic.entries[k]) for k in analytic.entries)
         record(f"deconvolution matches analytic table ({name})", diff, fit_limit)
@@ -514,8 +512,6 @@ def build_parser() -> argparse.ArgumentParser:
         if delta_s:
             command.add_argument("--state", help=f"named input state: {', '.join(sorted(NAMED_STATES))}")
             command.add_argument("--state-file", help="JSON file with an 'amplitudes' list of [re, im] pairs")
-            if name == "table":
-                command.add_argument("--system", choices=tuple(_SYSTEMS), help="one photon or a pair")
             command.add_argument("--delta-s", default=delta_s, help="positive number, or 'inf' in table and kdist")
         if grid:
             command.add_argument("--grid", default=grid, help="pointer grid LO:HI:STEP (for pair: arm a)")
@@ -548,31 +544,31 @@ def main(argv=None) -> int:
     try:
         return args.handler(args)
     except UsageError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
+        message, code = f"error: {exc}", 2
     except IllConditionedDesignError as exc:
-        sys.stderr.write(f"numerical guard: {exc}\n")
-        return 3
+        message, code = f"numerical guard: {exc}", 3
     except OutputError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 4
+        message, code = f"error: {exc}", 4
     except BrokenPipeError:
-        # The reader of stdout is gone. Point stdout, and stderr if it is the
-        # same pipe (as in "weakpol pair 2>&1 | head -1"), at devnull so that
-        # the interpreter's flush at exit cannot fail on what is still buffered.
+        # The reader of stdout is gone. Point stdout at devnull so that the
+        # interpreter's flush at exit cannot fail on what is still buffered.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
-        try:
-            sys.stderr.write("error: cannot write to standard output: the reader closed the pipe\n")
-            sys.stderr.flush()
-        except OSError:
-            os.dup2(devnull, sys.stderr.fileno())
         os.close(devnull)
-        return 4
+        message, code = "error: cannot write to standard output: the reader closed the pipe", 4
     except Exception as exc:
-        message = " ".join(str(exc).splitlines())
-        sys.stderr.write(f"error: internal error: {type(exc).__name__}: {message}\n")
-        return 5
+        message, code = f"error: internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", 5
+    # The message is best effort: stderr may be the closed pipe of stdout (as in
+    # "weakpol pair 2>&1 | head -1") or a descriptor open read-only. Then devnull
+    # takes its place, so that the flush at exit cannot fail either.
+    try:
+        sys.stderr.write(message + "\n")
+        sys.stderr.flush()
+    except OSError:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stderr.fileno())
+        os.close(devnull)
+    return code
 
 
 if __name__ == "__main__":

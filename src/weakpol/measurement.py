@@ -9,10 +9,11 @@ followed by a projective readout of s2. ``outcome_density`` samples the
 joint density on one uniform pointer grid per photon, for 1 to 3 photons;
 quadrature is the plain step-weighted sum over grid points.
 A large density is computed in chunks of first-arm points, which the CLI
-streams and the library joins. Every density, rebuild and completeness grid
-must fit a size budget (at most 2**24 cells and 1342177 points per grid),
-and a density's peak (delta_s sqrt(2 pi))**-arms must be a finite float, or
-``ValueError`` is raised before anything grid-sized is allocated.
+streams and the library joins. Every density, rebuild, deconvolution and
+completeness grid must fit a size budget (at most 2**24 cells and 1342177
+points per grid), and a density's peak (delta_s sqrt(2 pi))**-arms must be a
+finite float, or ``ValueError`` is raised before anything grid-sized is
+allocated.
 The infinite-resolution limit is represented by ``math.inf`` (exported as
 ``LIMIT``) and is only meaningful for the quasi-probability tables, never for
 density evaluation.
@@ -156,7 +157,8 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
 
 
 # Tables and densities take 1 to 3 photons: the 4**arms amplitudes, allocated
-# before a density's size budget is checked, would take 1 GiB at 13 photons.
+# before a density's size budget is checked, would take 1 GiB at 13 photons,
+# and the 6**arms table keys of a rebuild 132 MiB at 7.
 _MAX_ARMS = 3
 
 
@@ -207,9 +209,11 @@ _POINT_BYTES = 200
 def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
     """Each grid's points, once O(1) checks show that a density on ``grids`` fits the size budget and the float range.
 
-    Else ``ValueError``, before anything grid-sized is allocated. A density's sheets sum to at most
-    (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
+    Else, and for more than ``_MAX_ARMS`` grids, ``ValueError``, before anything grid-sized is allocated. A density's
+    sheets sum to at most (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
     """
+    if not 1 <= len(grids) <= _MAX_ARMS:
+        raise ValueError(f"densities of 1 to {_MAX_ARMS} photons are supported, got {len(grids)} grid(s)")
     counts = [grid.count for grid in grids]
     cells = math.prod(counts) * 2 ** len(grids)
     if cells * _CELL_BYTES > _BUDGET_BYTES or max(counts) * _POINT_BYTES > _BUDGET_BYTES:

@@ -171,8 +171,9 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
     delta_s = validate_resolution(table.delta_s)
     if len(grids) != table.arms:
         raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
+    points = _grid_points(grids, delta_s)
     weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
-    values = _contract_arms([_gaussian_columns(points, delta_s) for points in _grid_points(grids, delta_s)], weights)
+    values = _contract_arms([_gaussian_columns(arm, delta_s) for arm in points], weights)
     return OutcomeDensity(grids=grids, values=values)
 
 
@@ -193,13 +194,19 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     ``delta_s^2`` centered at the s1 labels (separable products of them in
     the pair case), solved arm by arm: the pseudo-inverse of the Kronecker
     product of the arms' designs is the product of their pseudo-inverses.
-    Acts as the independent oracle for the analytic tables.
+    Acts as the independent oracle for the analytic tables. Raises
+    ``ValueError`` over the size budget, or where the values do not have the
+    shape of the grids and labels.
     """
     delta_s = validate_resolution(delta_s)
+    points = _grid_points(density.grids, delta_s)
+    shape = (*map(len, points), len(density.labels))
+    if density.values.shape != shape:
+        raise ValueError(f"density values of shape {density.values.shape} do not match its grids and labels {shape}")
     for grid in density.grids:
         _check_grid_coverage(grid, delta_s)
 
-    designs = [_gaussian_columns(grid.points(), delta_s) for grid in density.grids]
+    designs = [_gaussian_columns(arm, delta_s) for arm in points]
     # cond(A (x) B) = cond(A) cond(B): the guard sees the full design's value.
     condition_number = math.prod(float(np.linalg.cond(design)) for design in designs)
     if not condition_number <= CONDITION_LIMIT:

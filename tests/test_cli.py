@@ -178,7 +178,7 @@ class TestChunkedDensityOutput:
 
 class TestTableCommand:
     def test_pair_limit_table_anchor_cell(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--system", "pair", "--delta-s", "inf")
+        code, out, _ = run_cli(capsys, "table", "--state", "bell", "--delta-s", "inf")
         assert code == 0
         header, rows = parse_csv(out)
         column = header.index("(1,1)")
@@ -187,7 +187,7 @@ class TestTableCommand:
         assert abs(float(row[column]) - 0.106694) < 5e-7
 
     def test_single_table_layout(self, capsys):
-        code, out, _ = run_cli(capsys, "table", "--system", "single", "--delta-s", "inf")
+        code, out, _ = run_cli(capsys, "table", "--state", "y+", "--delta-s", "inf")
         assert code == 0
         header, rows = parse_csv(out)
         assert header == ["s2", "s1=-1", "s1=0", "s1=1"]
@@ -197,7 +197,7 @@ class TestTableCommand:
 
     def test_json_records_in_serialization_order(self, capsys):
         code, out, _ = run_cli(
-            capsys, "table", "--system", "pair", "--delta-s", "inf", "--format", "json"
+            capsys, "table", "--state", "bell", "--delta-s", "inf", "--format", "json"
         )
         assert code == 0
         records = json.loads(out)["data"]
@@ -211,11 +211,6 @@ class TestTableCommand:
         assert code == 0
         _, rows = parse_csv(out)
         assert len(rows) == 6
-
-    def test_conflicting_system_and_state(self, capsys):
-        code, _, err = run_cli(capsys, "table", "--system", "pair", "--state", "y+")
-        assert code == 2
-        assert "conflict" in err
 
 
 class TestKdistCommand:
@@ -610,12 +605,20 @@ class TestClosedStdout:
 
     @pytest.mark.parametrize(
         "command,code",
-        [("single --state zz 2>&-", 2), ("table --system pair --state y+ 2>&-", 2), ("bound >&- 2>&-", 4)],
+        [
+            ("single --state zz 2>&-", 2),
+            ("table --state zz 2>&-", 2),
+            ("bound >&- 2>&-", 4),
+            ("single --state zz 2</dev/null", 2),
+            ("table --state-file /nonexistent 2</dev/null", 2),
+            ("pair --grid=-14:14:1e-7 2</dev/null", 2),
+        ],
     )
     def test_stderr_closed_at_start_keeps_the_exit_code(self, command, code):
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        # "2>&-" closes file descriptor 2 before Python starts, so sys.stderr is None.
+        # "2>&-" closes file descriptor 2 before Python starts, so sys.stderr is None;
+        # "2</dev/null" opens it read-only, so every write to sys.stderr fails.
         argv = ["sh", "-c", f'exec "$0" -m weakpol.cli {command}', sys.executable]
         assert subprocess.run(argv, env=env, timeout=60).returncode == code
 
@@ -637,7 +640,7 @@ class TestDeterminism:
         for index in range(2):
             out_path = tmp_path / f"table{index}.json"
             code = cli.main(
-                ["table", "--system", "pair", "--delta-s", "inf", "--format", "json", "--out", str(out_path)]
+                ["table", "--state", "bell", "--delta-s", "inf", "--format", "json", "--out", str(out_path)]
             )
             assert code == 0
             outputs.append(out_path.read_bytes())

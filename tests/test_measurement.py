@@ -21,7 +21,7 @@ from weakpol.measurement import (
     validate_resolution,
 )
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
-from weakpol.quasiprob import deconvolve, quasiprob_table, reconstruct_density
+from weakpol.quasiprob import QuasiProbTable, deconvolve, quasiprob_table, reconstruct_density
 
 from conftest import random_pure_state
 
@@ -304,6 +304,26 @@ class TestDensityChunks:
         try:
             for call in calls:
                 with pytest.raises(ValueError, match="over the size budget"):
+                    call()
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+
+    def test_deconvolution_and_rebuild_check_their_grids_before_allocating(self):
+        def deconvolve_three_points_on(grid):
+            return deconvolve(OutcomeDensity((grid,), np.zeros((3, 2))), 1.0)
+
+        calls = [
+            # 1600001 points: over the budget of points per grid.
+            (lambda: deconvolve_three_points_on(PointerGrid(-8, 8, 1e-5)), "over the size budget"),
+            (lambda: deconvolve_three_points_on(PointerGrid(-8, 8, 1e-3)), r"\(3, 2\).*\(16001, 2\)"),
+            # Seven photons: the table keys alone would take 132 MiB.
+            (lambda: reconstruct_density(QuasiProbTable({}, 1.0, 7), *[PointerGrid(0, 1, 1)] * 7), "1 to 3 photons"),
+        ]
+        tracemalloc.start()
+        try:
+            for call, message in calls:
+                with pytest.raises(ValueError, match=message):
                     call()
             assert tracemalloc.get_traced_memory()[1] < 2**20
         finally:

@@ -325,6 +325,13 @@ class TestThreePhotons:
         assert rebuilt.labels == direct.labels
         assert np.max(np.abs(rebuilt.values - direct.values)) < 1e-14
 
+    def test_deconvolution_recovers_the_table(self):
+        grid = PointerGrid(-8, 8, 0.5)
+        recovered = deconvolve(outcome_density(GHZ, 1.0, grid, grid, grid), 1.0)
+        analytic = quasiprob_table(GHZ, 1.0)
+        assert list(recovered.entries) == list(analytic.entries)
+        assert max(abs(recovered.entries[k] - analytic.entries[k]) for k in analytic.entries) < 1e-12
+
     def test_limit_table_moments_are_operator_expectations(self):
         table = quasiprob_table(GHZ, LIMIT)
         assert len(table.entries) == 6**3

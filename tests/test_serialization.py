@@ -322,7 +322,8 @@ def cli_stdout(capsys, *argv):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("system", ["single", "pair"])
 def test_table_matches_reference(capsys, system, fmt, delta_s):
-    out = cli_stdout(capsys, "table", "--system", system, "--delta-s", delta_s, "--format", fmt)
+    state = "y+" if system == "single" else "bell"
+    out = cli_stdout(capsys, "table", "--state", state, "--delta-s", delta_s, "--format", fmt)
     assert out == reference_table(system, LIMIT if delta_s == "inf" else float(delta_s), fmt)
 
 
