@@ -6,7 +6,7 @@ joint quasi-probability tables hiding behind them, and the distribution of
 the CHSH correlation that explains the Bell violation.
 """
 
-from .linalg import expectation, operator_function, tensor
+from .linalg import expectation, operator_function
 from .measurement import (
     LIMIT,
     OutcomeDensity,
@@ -25,7 +25,6 @@ from .polarization import (
     classical_chsh_bound,
     stokes_eigenstate,
     stokes_operator,
-    two_photon_stokes,
 )
 from .quasiprob import (
     IllConditionedDesignError,
@@ -68,8 +67,6 @@ __all__ = [
     "reconstruct_density",
     "stokes_eigenstate",
     "stokes_operator",
-    "tensor",
-    "two_photon_stokes",
 ]
 
 __version__ = "0.1.0"

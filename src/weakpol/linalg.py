@@ -2,7 +2,7 @@
 
 Vectors and matrices are plain complex numpy arrays; nothing in this module
 assumes a physical interpretation. Functions of Hermitian operators go
-through ``numpy.linalg.eigh``.
+through ``numpy.linalg.eigh``; tensor products are plain ``np.kron``.
 """
 
 from __future__ import annotations
@@ -45,24 +45,6 @@ def require_normalized(v) -> np.ndarray:
     if not abs(norm - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"state vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
     return arr
-
-
-def tensor(a, b) -> np.ndarray:
-    """Kronecker product of two vectors or two matrices.
-
-    The first operand is the slow index, so for basis vectors the combined
-    index is ``i_combined = dim_b * i_a + i_b``. Mixing a vector with a
-    matrix is rejected.
-    """
-    a_arr = np.asarray(a, dtype=complex)
-    b_arr = np.asarray(b, dtype=complex)
-    if a_arr.ndim != b_arr.ndim:
-        raise ValueError(
-            f"tensor operands must be the same kind, got ndim {a_arr.ndim} and {b_arr.ndim}"
-        )
-    if a_arr.ndim not in (1, 2):
-        raise ValueError(f"tensor operands must be vectors or matrices, got ndim {a_arr.ndim}")
-    return np.kron(a_arr, b_arr)
 
 
 def operator_function(m, f: Callable[[float], float]) -> np.ndarray:

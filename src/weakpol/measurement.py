@@ -181,9 +181,9 @@ def _amplitudes(state, arms: int) -> np.ndarray:
 
 def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.ndarray:
     """exp(-scale ((m - c)/delta_s)^2) for every grid point m (rows) and center c (columns)."""
-    z = (points[:, None] - np.asarray(centers, dtype=float)[None, :]) / delta_s
-    # Far from a center z*z overflows to inf, and exp gives the intended 0.
+    # Far from a center z or z*z overflows to inf, and exp gives the intended 0.
     with np.errstate(over="ignore"):
+        z = (points[:, None] - np.asarray(centers, dtype=float)[None, :]) / delta_s
         return np.exp(-scale * z * z)
 
 
@@ -269,8 +269,10 @@ single_outcome_density = coincidence_density = outcome_density
 
 
 def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:
-    """Gaussian measurement operator for pointer value ``m`` on a Hermitian target."""
+    """Gaussian measurement operator for pointer value ``m`` on a Hermitian target; NaN ``m`` raises ``ValueError``."""
     delta_s = validate_resolution(delta_s)
+    if math.isnan(m):
+        raise ValueError("pointer value m must not be NaN")
     kernel = operator_function(target, lambda x: _gaussians(np.array([x]), [m], delta_s, 0.25).item())
     return kernel / math.sqrt(delta_s * _ROOT_TWO_PI)
 
@@ -279,7 +281,8 @@ def eigenstate_density_closed_form(delta_s: float, m):
     """Closed-form densities for the s2 = +1 eigenstate.
 
     Returns the pair (P(m; s2=+1), P(m; s2=-1)); ``m`` may be a scalar or an
-    array. Serves as an independent oracle for ``outcome_density``:
+    array, and a NaN in it raises ``ValueError``. Serves as an independent
+    oracle for ``outcome_density``:
 
         P(m; +-1) = exp(-(m^2+1)/(2 ds^2)) / sqrt(2 pi ds^2)
                     * cosh^2 or sinh^2 of m/(2 ds^2).
@@ -289,6 +292,8 @@ def eigenstate_density_closed_form(delta_s: float, m):
     """
     delta_s = validate_resolution(delta_s)
     m = np.abs(np.asarray(m, dtype=float))
+    if np.isnan(m).any():
+        raise ValueError("pointer values m must not be NaN")
     # Overflow to inf far from m = 1 and at large |m| makes the intended 0 and 1 - 0.
     with np.errstate(over="ignore"):
         z = (m - 1.0) / delta_s

@@ -1,9 +1,9 @@
 """Stokes operator algebra in the circular polarization basis.
 
-Basis order is (R, L) for each photon; for two photons, arm ``a`` occupies
-the first (slow) tensor factor, so the combined basis is |RR>, |RL>, |LR>,
-|LL>. On the one-photon subspace the three Stokes components are the Pauli
-matrices with eigenvalues +-1.
+Basis order is (R, L) for each photon; a two-photon operator is
+``np.kron(op_a, op_b)``, arm ``a`` the slow factor, so the combined basis is
+|RR>, |RL>, |LR>, |LL>. On the one-photon subspace the three Stokes
+components are the Pauli matrices with eigenvalues +-1.
 """
 
 from __future__ import annotations
@@ -12,10 +12,9 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import expectation, tensor
+from .linalg import expectation
 
 STOKES_AXES = (1, 2, 3)
-PHOTON_ARMS = ("a", "b")
 
 # Relative phase of the |L;R> component of the entangled pair state. With
 # s1/s2 represented as below, +pi/4 makes the state the +2*sqrt(2) eigenstate
@@ -46,12 +45,6 @@ def _check_axis(axis: int) -> int:
     return axis
 
 
-def _check_arm(arm: str) -> str:
-    if arm not in PHOTON_ARMS:
-        raise ValueError(f"photon arm must be one of {PHOTON_ARMS}, got {arm!r}")
-    return arm
-
-
 def stokes_operator(axis: int) -> np.ndarray:
     """Single-photon Stokes component (2x2 Hermitian) in the (R, L) basis."""
     return _STOKES[_check_axis(axis)].copy()
@@ -68,15 +61,6 @@ def stokes_eigenstate(axis: int, value: int) -> np.ndarray:
     return np.array(_EIGENSTATES[(_check_axis(axis), value)], dtype=complex)
 
 
-def two_photon_stokes(axis: int, arm: str) -> np.ndarray:
-    """Stokes component acting on one arm of a photon pair (4x4 Hermitian)."""
-    single = stokes_operator(axis)
-    identity = np.eye(2, dtype=complex)
-    if _check_arm(arm) == "a":
-        return tensor(single, identity)
-    return tensor(identity, single)
-
-
 def bell_state() -> np.ndarray:
     """Entangled pair state (|R;L> + exp(i*pi/4)|L;R>)/sqrt(2)."""
     state = np.zeros(4, dtype=complex)
@@ -86,17 +70,16 @@ def bell_state() -> np.ndarray:
 
 
 def chsh_combination(s1a: float, s2a: float, s1b: float, s2b: float) -> float:
-    """The CHSH correlation combination s1a*s1b + s2a*s1b - s1a*s2b + s2a*s2b."""
+    """The CHSH correlation combination s1a*s1b + s2a*s1b - s1a*s2b + s2a*s2b, elementwise on arrays."""
     return s1a * s1b + s2a * s1b - s1a * s2b + s2a * s2b
 
 
 def bell_operator() -> np.ndarray:
-    """CHSH correlation operator built from the s1 and s2 components of both arms."""
-    s1a = two_photon_stokes(1, "a")
-    s2a = two_photon_stokes(2, "a")
-    s1b = two_photon_stokes(1, "b")
-    s2b = two_photon_stokes(2, "b")
-    return s1a @ s1b + s2a @ s1b - s1a @ s2b + s2a @ s2b
+    """CHSH correlation operator: ``chsh_combination`` with each product of two arms the np.kron of their matrices."""
+    # Axes (row a, row b, column a, column b): elementwise products are Kronecker products, arm a the slow factor.
+    s1a, s2a = (stokes_operator(axis)[:, None, :, None] for axis in (1, 2))
+    s1b, s2b = (stokes_operator(axis)[None, :, None, :] for axis in (1, 2))
+    return chsh_combination(s1a, s2a, s1b, s2b).reshape(4, 4)
 
 
 def classical_chsh_bound() -> float:

@@ -23,7 +23,6 @@ from weakpol.polarization import (
     classical_chsh_bound,
     stokes_eigenstate,
     stokes_operator,
-    two_photon_stokes,
 )
 from weakpol.quasiprob import (
     PAIR_COLUMN_LABELS,
@@ -298,7 +297,7 @@ def test_criterion_10_property_suite():
     s2 = stokes_operator(2)
     symmetrized = (s1 @ s2 + s2 @ s1) / 2.0
     pair_ops = {
-        (i, j): two_photon_stokes(i, "a") @ two_photon_stokes(j, "b")
+        (i, j): np.kron(stokes_operator(i), stokes_operator(j))
         for i in (1, 2)
         for j in (1, 2)
     }

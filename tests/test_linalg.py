@@ -10,41 +10,12 @@ from weakpol.linalg import (
     operator_function,
     require_hermitian,
     require_normalized,
-    tensor,
 )
 
 from conftest import random_hermitian, random_pure_state
 
 SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
 I2 = np.eye(2, dtype=complex)
-
-
-class TestTensor:
-    def test_identity_times_identity(self):
-        assert np.array_equal(tensor(I2, I2), np.eye(4))
-
-    def test_diagonal_with_identity(self):
-        got = tensor(np.diag([1.0, -1.0]), I2)
-        assert np.array_equal(got, np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_basis_ordering_fixes_index_convention(self):
-        # index = 2*i_a + i_b: |0>_a x |1>_b lands on combined index 1
-        got = tensor(np.array([1.0, 0.0]), np.array([0.0, 1.0]))
-        assert np.array_equal(got, np.array([0.0, 1.0, 0.0, 0.0]))
-
-    def test_mixed_kinds_rejected(self):
-        with pytest.raises(ValueError, match="same kind"):
-            tensor(np.array([1.0, 0.0]), I2)
-
-    def test_three_dimensional_operands_rejected(self):
-        with pytest.raises(ValueError, match="vectors or matrices, got ndim 3"):
-            tensor(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
-
-    def test_dimensions_multiply(self, rng):
-        for dim_a, dim_b in [(2, 2), (2, 4), (4, 2), (4, 4)]:
-            a = random_hermitian(rng, dim_a)
-            b = random_hermitian(rng, dim_b)
-            assert tensor(a, b).shape == (dim_a * dim_b, dim_a * dim_b)
 
 
 class TestOperatorFunction:
@@ -77,7 +48,7 @@ class TestOperatorFunction:
         # A two-photon s1 has the doubly degenerate eigenvalues -1 and +1. A
         # perturbation at rounding level must move the result only at that
         # level, whatever basis eigh picks inside each eigenspace.
-        degenerate = tensor(SIGMA_X, I2)
+        degenerate = np.kron(SIGMA_X, I2)
         split = degenerate + 1e-13 * np.diag([1.0, -1.0, 2.0, -2.0])
         upper = operator_function(degenerate, lambda x: float(x > 0))
         assert abs(np.trace(upper).real - 2.0) < 1e-12

@@ -20,7 +20,7 @@ from weakpol.measurement import (
     outcome_density,
     validate_resolution,
 )
-from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
+from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import QuasiProbTable, deconvolve, quasiprob_table, reconstruct_density
 
 from conftest import random_pure_state
@@ -237,9 +237,9 @@ class TestCoincidenceDensity:
                 for label in density.labels
             }
             for i, ma in enumerate(grid_a.points()):
-                kernel_a = measurement_kernel(two_photon_stokes(1, "a"), 0.6, float(ma))
+                kernel_a = measurement_kernel(np.kron(stokes_operator(1), np.eye(2)), 0.6, float(ma))
                 for k, mb in enumerate(grid_b.points()):
-                    kernel_b = measurement_kernel(two_photon_stokes(1, "b"), 0.6, float(mb))
+                    kernel_b = measurement_kernel(np.kron(np.eye(2), stokes_operator(1)), 0.6, float(mb))
                     for label, chi in readout.items():
                         literal = abs(np.vdot(chi, kernel_a @ kernel_b @ state)) ** 2
                         assert density.sheet(label)[i, k] == pytest.approx(literal, abs=1e-14)
@@ -398,3 +398,31 @@ class TestResolutionRange:
             except ValueError:
                 return
             assert np.isfinite(list(table.entries.values())).all()
+
+
+class TestPointerValueRange:
+    def test_far_pointer_values_give_zeros_without_warning(self):
+        grid = PointerGrid(-1e300, 1e300, 1e299)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert completeness_defect(1e-10, grid) == 1.0
+            rebuilt = reconstruct_density(quasiprob_table(stokes_eigenstate(2, +1), 1e-10), grid)
+            assert not rebuilt.values.any()
+            assert not measurement_kernel(stokes_operator(1), 1e-10, 1e300).any()
+
+    @settings(max_examples=150, deadline=None)
+    @given(m=st.floats(), delta_s=st.sampled_from([1e-150, 1e-10, 0.6, 1e150]))
+    @example(m=math.nan, delta_s=0.6)
+    def test_every_float_gives_finite_values_or_value_error(self, m, delta_s):
+        calls = [
+            lambda: eigenstate_density_closed_form(delta_s, m),
+            lambda: measurement_kernel(stokes_operator(1), delta_s, m),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for call in calls:
+                if math.isnan(m):
+                    with pytest.raises(ValueError, match="NaN"):
+                        call()
+                else:
+                    assert np.isfinite(np.asarray(call())).all()

@@ -13,7 +13,6 @@ from weakpol.polarization import (
     classical_chsh_bound,
     stokes_eigenstate,
     stokes_operator,
-    two_photon_stokes,
 )
 
 ROOT_HALF = 1.0 / math.sqrt(2.0)
@@ -68,26 +67,6 @@ class TestStokesEigenstates:
             stokes_eigenstate(1, 0)
 
 
-class TestTwoPhotonStokes:
-    def test_arm_a_axis_3(self):
-        assert np.array_equal(two_photon_stokes(3, "a"), np.diag([1.0, 1.0, -1.0, -1.0]))
-
-    def test_different_arms_commute_exactly(self):
-        for i, j in product((1, 2, 3), repeat=2):
-            a = two_photon_stokes(i, "a")
-            b = two_photon_stokes(j, "b")
-            assert np.array_equal(a @ b, b @ a)
-
-    @pytest.mark.parametrize("axis,arm", list(product((1, 2, 3), ("a", "b"))))
-    def test_doubly_degenerate_spectrum(self, axis, arm):
-        values = np.linalg.eigvalsh(two_photon_stokes(axis, arm))
-        assert np.allclose(values, [-1.0, -1.0, 1.0, 1.0])
-
-    def test_invalid_arm(self):
-        with pytest.raises(ValueError, match="arm"):
-            two_photon_stokes(1, "c")
-
-
 class TestBellState:
     def test_normalized(self):
         assert abs(np.linalg.norm(bell_state()) - 1.0) < 1e-15
@@ -97,7 +76,7 @@ class TestBellState:
         assert state[0] == 0 and state[3] == 0
 
     def test_balanced_between_s3_branches(self):
-        assert expectation(bell_state(), two_photon_stokes(3, "a")) == pytest.approx(0.0, abs=1e-15)
+        assert expectation(bell_state(), np.kron(stokes_operator(3), np.eye(2))) == pytest.approx(0.0, abs=1e-15)
 
 
 class TestBellOperator:
@@ -107,6 +86,14 @@ class TestBellOperator:
 
     def test_expectation_reaches_two_root_two(self):
         assert abs(bell_expectation() - 2.0 * math.sqrt(2.0)) < 1e-12
+
+    def test_equals_the_sum_of_arm_operator_products_bit_for_bit(self):
+        identity = np.eye(2)
+        a = {axis: np.kron(stokes_operator(axis), identity) for axis in (1, 2)}
+        b = {axis: np.kron(identity, stokes_operator(axis)) for axis in (1, 2)}
+        products = a[1] @ b[1] + a[2] @ b[1] - a[1] @ b[2] + a[2] @ b[2]
+        operator = bell_operator()
+        assert operator.shape == products.shape and operator.tobytes() == products.tobytes()
 
     def test_largest_eigenvalue(self):
         top = np.linalg.eigvalsh(bell_operator())[-1]

@@ -15,7 +15,7 @@ from weakpol.measurement import (
     measurement_kernel,
     outcome_density,
 )
-from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator, two_photon_stokes
+from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import (
     IllConditionedDesignError,
     deconvolve,
@@ -113,7 +113,7 @@ class TestPairTable:
 
     def test_moment_reproduction_at_limit(self, rng):
         operators = {
-            (i, j): two_photon_stokes(i, "a") @ two_photon_stokes(j, "b")
+            (i, j): np.kron(stokes_operator(i), stokes_operator(j))
             for i in (1, 2)
             for j in (1, 2)
         }
@@ -301,7 +301,7 @@ class TestArmCount:
         assert measurement.coincidence_density is measurement.outcome_density
         assert quasiprob.quasiprob_table_single is quasiprob.quasiprob_table
         assert quasiprob.quasiprob_table_pair is quasiprob.quasiprob_table
-        assert len(weakpol.__all__) == 29 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
+        assert len(weakpol.__all__) == 27 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
         twins = ("single_outcome_density", "coincidence_density", "quasiprob_table_single", "quasiprob_table_pair")
         assert not any(hasattr(weakpol, name) for name in twins)
 
