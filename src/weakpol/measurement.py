@@ -147,13 +147,21 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
     """Apply one matrix per arm to the leading arm axes of ``weights``.
 
     out[p, q, ..., j...] = sum M_0[p, e] M_1[q, f] ... weights[e, f, ..., j...],
-    with any trailing axes (the readout labels) carried through.
+    with any trailing axes (the readout labels) carried through, as one
+    matrix product per arm: M_i times ``weights`` with arm i's axis moved to
+    the front and the others flattened. The order makes the first arm's
+    product the one on the grid-sized side, in C order: matrices that shrink
+    the array go first arm first, so that the first product reads a C-ordered
+    ``weights`` in place; matrices that grow it go last arm first, so that
+    the last product writes a C-contiguous result. The products use ``@``:
+    ``np.tensordot`` goes through ``np.dot``, which took twice as long on a
+    401x3 by 3x1604 product, with the same bits.
     """
-    arms = len(matrices)
-    operands = []
-    for axis, matrix in enumerate(matrices):
-        operands += [matrix, [arms + axis, axis]]
-    return np.einsum(*operands, weights, [*range(arms), ...], [*range(arms, 2 * arms), ...], optimize=True)
+    grows = math.prod(len(matrix) for matrix in matrices) > math.prod(matrix.shape[1] for matrix in matrices)
+    for axis in sorted(range(len(matrices)), reverse=grows):
+        moved = np.moveaxis(weights, axis, 0)
+        weights = np.moveaxis((matrices[axis] @ moved.reshape(len(moved), -1)).reshape(-1, *moved.shape[1:]), 0, axis)
+    return weights
 
 
 # Tables and densities take 1 to 3 photons: the 4**arms amplitudes, allocated

@@ -166,13 +166,21 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
 
     Inverse of the interpretation behind the tables: at finite resolution the
     result equals the directly computed outcome density at every grid point.
-    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range.
+    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range, and for a missing,
+    NaN or infinite weight.
     """
     delta_s = validate_resolution(table.delta_s)
     if len(grids) != table.arms:
         raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
     points = _grid_points(grids, delta_s)
-    weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
+    weights = []
+    for key in _keys(table.arms)[0]:
+        if key not in table.entries:
+            raise ValueError(f"the table has no weight for key {key!r}")
+        if not math.isfinite(table.entries[key]):
+            raise ValueError(f"table weight {table.entries[key]!r} of key {key!r} is not finite")
+        weights.append(table.entries[key])
+    weights = np.reshape(weights, (len(S1_CENTERS),) * table.arms + (-1,))
     values = _contract_arms([_gaussian_columns(arm, delta_s) for arm in points], weights)
     return OutcomeDensity(grids=grids, values=values)
 
@@ -195,8 +203,8 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     the pair case), solved arm by arm: the pseudo-inverse of the Kronecker
     product of the arms' designs is the product of their pseudo-inverses.
     Acts as the independent oracle for the analytic tables. Raises
-    ``ValueError`` over the size budget, or where the values do not have the
-    shape of the grids and labels.
+    ``ValueError`` over the size budget, where the values do not have the
+    shape of the grids and labels, or where a value is NaN or infinite.
     """
     delta_s = validate_resolution(delta_s)
     points = _grid_points(density.grids, delta_s)
@@ -206,13 +214,17 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     for grid in density.grids:
         _check_grid_coverage(grid, delta_s)
 
-    designs = [_gaussian_columns(arm, delta_s) for arm in points]
+    if not np.isfinite(density.values).all():
+        raise ValueError("density values must be finite, without NaN or inf")
+
+    svds = [np.linalg.svd(_gaussian_columns(arm, delta_s), full_matrices=False) for arm in points]
     # cond(A (x) B) = cond(A) cond(B): the guard sees the full design's value.
-    condition_number = math.prod(float(np.linalg.cond(design)) for design in designs)
+    condition_number = math.prod(float(s[0]) / float(s[-1]) if s[-1] else math.inf for _, s, _ in svds)
     if not condition_number <= CONDITION_LIMIT:
         raise IllConditionedDesignError(delta_s, condition_number)
 
-    weights = _contract_arms([np.linalg.pinv(design) for design in designs], density.values)
+    # Below the limit no singular value falls under pinv's cutoff of 1e-15 s[0]: V diag(1/s) U^T is np.linalg.pinv.
+    weights = _contract_arms([vt.T @ ((1 / s)[:, None] * u.T) for u, s, vt in svds], density.values)
     return _table(weights, delta_s, len(density.grids))
 
 

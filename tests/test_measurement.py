@@ -250,6 +250,56 @@ class TestCoincidenceDensity:
             outcome_density(stokes_eigenstate(2, +1), 1.0, grid, grid)
 
 
+class TestContractArms:
+    @staticmethod
+    def einsum_reference(matrices, weights):
+        arms = len(matrices)
+        operands = []
+        for axis, matrix in enumerate(matrices):
+            operands += [matrix, [arms + axis, axis]]
+        return np.einsum(*operands, weights, [*range(arms), ...], [*range(arms, 2 * arms), ...])
+
+    # (rows, columns) per arm: matrices that grow the array, shrink it, or both; a first matrix of one row is the
+    # CLI's one-point chunk.
+    @pytest.mark.parametrize(
+        "shapes",
+        [
+            [(9, 2)],
+            [(3, 7)],
+            [(1, 2)],
+            [(9, 2), (7, 2)],
+            [(3, 11), (3, 8)],
+            [(1, 2), (13, 2)],
+            [(9, 3), (2, 5)],
+            [(2, 6), (10, 3)],
+            [(5, 2), (4, 2), (6, 2)],
+            [(3, 7), (3, 6), (3, 5)],
+            [(1, 2), (6, 2), (5, 2)],
+            [(4, 2), (3, 9), (6, 3)],
+        ],
+    )
+    @pytest.mark.parametrize("trailing", [(), (4,), (2, 3)])
+    def test_equals_einsum(self, rng, shapes, trailing):
+        def draw(dtype, shape):
+            return rng.normal(size=shape) + (1j * rng.normal(size=shape) if dtype is complex else 0)
+
+        for matrix_type, weight_type in [(float, float), (float, complex), (complex, complex)]:
+            matrices = [draw(matrix_type, shape) for shape in shapes]
+            weights = draw(weight_type, (*(columns for _, columns in shapes), *trailing))
+            result = measurement._contract_arms(matrices, weights)
+            expected = self.einsum_reference(matrices, weights)
+            assert result.shape == expected.shape
+            np.testing.assert_allclose(result, expected, rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_densities_and_rebuilds_are_c_contiguous(self, arms):
+        state = [stokes_eigenstate(2, +1), bell_state(), np.eye(8)[0] / 2**0.5 + np.eye(8)[7] / 2**0.5][arms - 1]
+        grids = [PointerGrid(-6, 6, 0.5), PointerGrid(-5, 5, 0.25), PointerGrid(-7, 7, 1.0)][:arms]
+        density = outcome_density(state, 0.6, *grids)
+        rebuilt = reconstruct_density(quasiprob_table(state, 0.6), *grids)
+        assert density.values.flags.c_contiguous and rebuilt.values.flags.c_contiguous
+
+
 class TestDensityChunks:
     @staticmethod
     def drain_peak(points):

@@ -1,4 +1,6 @@
 import math
+import re
+import tracemalloc
 from functools import reduce
 from itertools import product
 
@@ -18,6 +20,7 @@ from weakpol.measurement import (
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import (
     IllConditionedDesignError,
+    QuasiProbTable,
     deconvolve,
     k_distribution,
     k_value,
@@ -165,6 +168,28 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_density(table, PointerGrid(-6, 6, 0.1))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_is_named(self, bad):
+        table = quasiprob_table(bell_state(), 2.0)
+        key = list(table.entries)[5]
+        entries = {**table.entries, key: bad}
+        with pytest.raises(ValueError, match=re.escape(f"{bad!r} of key {key!r} is not finite")):
+            reconstruct_density(QuasiProbTable(entries, 2.0, 2), *[PointerGrid(-8, 8, 0.5)] * 2)
+
+    def test_missing_weight_is_named(self):
+        table = quasiprob_table(bell_state(), 2.0)
+        key = list(table.entries)[5]
+        entries = {other: weight for other, weight in table.entries.items() if other != key}
+        with pytest.raises(ValueError, match=re.escape(f"no weight for key {key!r}")):
+            reconstruct_density(QuasiProbTable(entries, 2.0, 2), *[PointerGrid(-8, 8, 0.5)] * 2)
+
+    def test_unused_keys_are_ignored(self):
+        table = quasiprob_table(bell_state(), 2.0)
+        grid = PointerGrid(-8, 8, 0.5)
+        extended = QuasiProbTable({**table.entries, "unused": math.nan}, 2.0, 2)
+        expected = reconstruct_density(table, grid, grid).values
+        np.testing.assert_array_equal(reconstruct_density(extended, grid, grid).values, expected)
+
 
 class TestDeconvolve:
     def test_recovers_single_table(self):
@@ -203,6 +228,13 @@ class TestDeconvolve:
         with pytest.raises(IllConditionedDesignError, match="200000"):
             deconvolve(flat, delta_s)
 
+    def test_design_of_zero_columns_has_infinite_condition(self):
+        # Points 7 apart at delta_s 0.01: every Gaussian underflows to 0, and so does every singular value.
+        grid = PointerGrid(-10, 10, 7.0)
+        with pytest.raises(IllConditionedDesignError) as excinfo:
+            deconvolve(OutcomeDensity(grids=(grid,), values=np.zeros((grid.count, 2))), 0.01)
+        assert excinfo.value.condition_number == math.inf
+
     def test_pair_guard_reports_condition_of_kronecker_design(self):
         delta_s = 200.0
         half_width = 1 + 6 * delta_s
@@ -229,6 +261,27 @@ class TestDeconvolve:
         density = outcome_density(stokes_eigenstate(2, +1), 1.0, PointerGrid(-8, 8, 0.01))
         with pytest.raises(ValueError):
             deconvolve(density, LIMIT)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("arms", [1, 2])
+    def test_non_finite_values_rejected(self, bad, arms):
+        grid = PointerGrid(-14, 14, 0.1)
+        density = outcome_density(stokes_eigenstate(2, +1) if arms == 1 else bell_state(), 2.0, *[grid] * arms)
+        values = density.values.copy()
+        values.flat[values.size // 3] = bad
+        with pytest.raises(ValueError, match="finite"):
+            deconvolve(OutcomeDensity(density.grids, values), 2.0)
+
+    def test_pair_allocates_little_beyond_its_density(self):
+        # The 401x401 density takes 5.1 MB; a transposed copy of it would take as much again, the finiteness mask 0.6 MB.
+        grid = PointerGrid(-14, 14, 28 / 400)
+        density = outcome_density(bell_state(), 2.0, grid, grid)
+        tracemalloc.start()
+        try:
+            deconvolve(density, 2.0)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
 
 class TestKValue:
