@@ -34,7 +34,6 @@ from .quasiprob import (
     QuasiProbTable,
     deconvolve,
     k_distribution,
-    k_value,
     quasiprob_table,
     reconstruct_density,
 )
@@ -59,7 +58,6 @@ __all__ = [
     "eigenstate_density_closed_form",
     "expectation",
     "k_distribution",
-    "k_value",
     "measurement_kernel",
     "operator_function",
     "outcome_density",

@@ -65,10 +65,13 @@ def expectation(state, m) -> float:
     """Expectation value of a matrix in a normalized pure state.
 
     The imaginary part of the quadratic form must vanish to within 1e-12
-    (true for Hermitian ``m``); the real part is returned.
+    (true for Hermitian ``m``); the real part is returned. A NaN or infinite
+    entry of ``m`` raises ``ValueError``.
     """
     psi = require_normalized(state)
     arr = as_matrix(m)
+    if not np.isfinite(arr).all():
+        raise ValueError("matrix entries must be finite, without NaN or inf")
     if arr.shape[0] != psi.size:
         raise ValueError(f"dimension mismatch: state has {psi.size}, matrix has {arr.shape[0]}")
     value = complex(np.vdot(psi, arr @ psi))

@@ -166,7 +166,7 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
 
 # Tables and densities take 1 to 3 photons: the 4**arms amplitudes, allocated
 # before a density's size budget is checked, would take 1 GiB at 13 photons,
-# and the 6**arms table keys of a rebuild 132 MiB at 7.
+# and the 6**arms keys of a table 132 MiB at 7.
 _MAX_ARMS = 3
 
 
@@ -176,9 +176,9 @@ def _amplitudes(state, arms: int) -> np.ndarray:
     One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over
     the readout sheets in ``_readout_labels(arms)`` order.
     """
+    psi = require_normalized(state)
     if not 1 <= arms <= _MAX_ARMS:
         raise ValueError(f"states of 1 to {_MAX_ARMS} photons are supported, got {arms} photon(s)")
-    psi = require_normalized(state)
     if psi.size != 2**arms:
         raise ValueError(f"a {arms}-photon state must have dimension {2**arms}, got {psi.size}")
     per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, psi.reshape((2,) * arms))

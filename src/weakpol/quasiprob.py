@@ -25,11 +25,12 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import require_normalized
+from .linalg import as_vector
 from .measurement import (
     OutcomeDensity,
     PointerGrid,
     SINGLE_LABELS,
+    _MAX_ARMS,
     _ROOT_TWO_PI,
     _amplitudes,
     _bare,
@@ -87,12 +88,29 @@ class QuasiProbTable:
     for more. Finite-resolution tables keep the raw damped cross-term weights;
     ``deficit`` records how far their sum falls short of one (identically
     zero for the projector construction, where the cross terms cancel in the
-    total).
+    total). Raises ``ValueError`` for an arm count outside 1 to 3, a missing
+    or extra key, or a NaN or infinite weight, so every consumer can trust it.
     """
 
     entries: dict
     delta_s: float
     arms: int
+
+    def __post_init__(self):
+        # The arm count first: the 6**arms keys would take 132 MiB at 7 photons.
+        if not 1 <= self.arms <= _MAX_ARMS:
+            raise ValueError(f"tables of 1 to {_MAX_ARMS} photons are supported, got {self.arms} photon(s)")
+        keys = _keys(self.arms)[0]
+        for key in keys:
+            if key not in self.entries:
+                raise ValueError(f"the table has no weight for key {key!r}")
+        if len(self.entries) > len(keys):
+            known = set(keys)
+            extra = next(key for key in self.entries if key not in known)
+            raise ValueError(f"the table has a weight for key {extra!r}, which is not a {self.arms}-photon label")
+        for key, weight in self.entries.items():
+            if not math.isfinite(weight):
+                raise ValueError(f"table weight {weight!r} of key {key!r} is not finite")
 
     @property
     def total(self) -> float:
@@ -142,7 +160,7 @@ def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
     arm, s1 = +-1 takes e = e', and the midpoint s1 = 0 takes both cross
     pairs, damped by exp(-1/(2 delta_s^2)) (1 in the limit).
     """
-    arms = require_normalized(state).size.bit_length() - 1
+    arms = as_vector(state).size.bit_length() - 1
     amplitudes = _amplitudes(state, arms)
     delta_s = validate_resolution(delta_s, allow_limit=True)
     # products[e_a, e_a', e_b, e_b', ..., j] = A[e_a, e_b, ..., j] conj(A[e_a', e_b', ..., j])
@@ -166,21 +184,13 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
 
     Inverse of the interpretation behind the tables: at finite resolution the
     result equals the directly computed outcome density at every grid point.
-    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range, and for a missing,
-    NaN or infinite weight.
+    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range.
     """
     delta_s = validate_resolution(table.delta_s)
     if len(grids) != table.arms:
         raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
     points = _grid_points(grids, delta_s)
-    weights = []
-    for key in _keys(table.arms)[0]:
-        if key not in table.entries:
-            raise ValueError(f"the table has no weight for key {key!r}")
-        if not math.isfinite(table.entries[key]):
-            raise ValueError(f"table weight {table.entries[key]!r} of key {key!r} is not finite")
-        weights.append(table.entries[key])
-    weights = np.reshape(weights, (len(S1_CENTERS),) * table.arms + (-1,))
+    weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
     values = _contract_arms([_gaussian_columns(arm, delta_s) for arm in points], weights)
     return OutcomeDensity(grids=grids, values=values)
 
@@ -228,25 +238,11 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     return _table(weights, delta_s, len(density.grids))
 
 
-def _check_joint_label(label) -> tuple[int, int]:
-    s1, s2 = label
-    if s1 not in S1_CENTERS or s2 not in (-1, 1):
-        raise ValueError(f"invalid joint label {label!r}: s1 in {{-1,0,1}}, s2 in {{-1,1}}")
-    return int(s1), int(s2)
-
-
-def k_value(label_a, label_b) -> int:
-    """CHSH combination evaluated on discrete (s1, s2) labels for both arms."""
-    s1a, s2a = _check_joint_label(label_a)
-    s1b, s2b = _check_joint_label(label_b)
-    return chsh_combination(s1a, s2a, s1b, s2b)
-
-
 def k_distribution(table: QuasiProbTable) -> KDistribution:
     """Aggregate a pair table's weights by their CHSH combination value."""
     if table.arms != 2:
         raise ValueError("the CHSH distribution is defined for pair tables only")
     weights = {k: 0.0 for k in K_VALUES}
     for (label_a, label_b), weight in table.entries.items():
-        weights[k_value(label_a, label_b)] += weight
+        weights[chsh_combination(*label_a, *label_b)] += weight
     return KDistribution(weights=weights)

@@ -27,9 +27,9 @@ from weakpol.polarization import (
 from weakpol.quasiprob import (
     PAIR_COLUMN_LABELS,
     PAIR_ROW_LABELS,
+    QuasiProbTable,
     deconvolve,
     k_distribution,
-    k_value,
     quasiprob_table,
     reconstruct_density,
 )
@@ -124,12 +124,19 @@ def test_criterion_02_pair_table_exact():
     assert ok
 
 
+def _unit_table(label_a, label_b) -> QuasiProbTable:
+    """The pair table of weight 1 at (label_a, label_b) and 0 at the other 35 keys."""
+    entries = {(a, b): 0.0 for b in PAIR_ROW_LABELS for a in PAIR_COLUMN_LABELS}
+    return QuasiProbTable({**entries, (label_a, label_b): 1.0}, LIMIT, 2)
+
+
 def test_criterion_03_k_value_matrix_exact():
+    # The K value of a cell is where the K distribution of its unit table puts all its weight.
     mismatches = [
         (label_a, label_b)
         for label_b, row in K_VALUE_MATRIX.items()
         for label_a, value in zip(PAIR_COLUMN_LABELS, row)
-        if k_value(label_a, label_b) != value
+        if k_distribution(_unit_table(label_a, label_b)).weights != {k: float(k == value) for k in range(-2, 3)}
     ]
     ok = not mismatches
     _report(3, ok, f"6x6 CHSH-value matrix entrywise, {len(mismatches)} mismatches")

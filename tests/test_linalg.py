@@ -105,3 +105,11 @@ class TestExpectation:
             m = random_hermitian(rng, 4)
             direct = np.vdot(state, m @ state).real
             assert expectation(state, m) == pytest.approx(direct, abs=1e-14)
+
+    # Every entry NaN, one real inf, one imaginary -inf.
+    @pytest.mark.parametrize("cell,bad", [(..., math.nan), ((1, 2), math.inf), ((3, 0), complex(0.0, -math.inf))])
+    def test_non_finite_matrix_rejected(self, cell, bad):
+        m = np.eye(4, dtype=complex)
+        m[cell] = bad
+        with pytest.raises(ValueError, match="matrix entries must be finite"):
+            expectation(np.array([0.0, 1.0, 1.0j, 0.0]) / math.sqrt(2.0), m)

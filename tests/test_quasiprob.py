@@ -6,6 +6,8 @@ from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import weakpol
 from weakpol import measurement, quasiprob
@@ -20,10 +22,11 @@ from weakpol.measurement import (
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import (
     IllConditionedDesignError,
+    PAIR_COLUMN_LABELS,
+    PAIR_ROW_LABELS,
     QuasiProbTable,
     deconvolve,
     k_distribution,
-    k_value,
     quasiprob_table,
     reconstruct_density,
 )
@@ -168,27 +171,38 @@ class TestReconstruction:
         with pytest.raises(ValueError):
             reconstruct_density(table, PointerGrid(-6, 6, 0.1))
 
+    # A table is checked when it is built, so that reconstruct_density, k_distribution, total and deficit can trust it.
+    @pytest.mark.parametrize("arms", [0, 4, 7])
+    def test_arm_count_outside_one_to_three_rejected(self, arms):
+        with pytest.raises(ValueError, match=f"tables of 1 to 3 photons are supported, got {arms} photon"):
+            QuasiProbTable({}, 1.0, arms)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_weight_is_named(self, bad):
         table = quasiprob_table(bell_state(), 2.0)
         key = list(table.entries)[5]
-        entries = {**table.entries, key: bad}
-        with pytest.raises(ValueError, match=re.escape(f"{bad!r} of key {key!r} is not finite")):
-            reconstruct_density(QuasiProbTable(entries, 2.0, 2), *[PointerGrid(-8, 8, 0.5)] * 2)
+        with pytest.raises(ValueError, match=re.escape(f"table weight {bad!r} of key {key!r} is not finite")):
+            QuasiProbTable({**table.entries, key: bad}, 2.0, 2)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arms=st.integers(1, 3), bad=st.sampled_from([math.nan, math.inf, -math.inf]), data=st.data())
+    def test_non_finite_weight_at_any_key_is_named(self, arms, bad, data):
+        entries = quasiprob_table(np.eye(2**arms)[0], 1.0).entries
+        key = data.draw(st.sampled_from(list(entries)))
+        with pytest.raises(ValueError, match=re.escape(f"of key {key!r} is not finite")):
+            QuasiProbTable({**entries, key: bad}, 1.0, arms)
 
     def test_missing_weight_is_named(self):
         table = quasiprob_table(bell_state(), 2.0)
         key = list(table.entries)[5]
         entries = {other: weight for other, weight in table.entries.items() if other != key}
-        with pytest.raises(ValueError, match=re.escape(f"no weight for key {key!r}")):
-            reconstruct_density(QuasiProbTable(entries, 2.0, 2), *[PointerGrid(-8, 8, 0.5)] * 2)
+        with pytest.raises(ValueError, match=re.escape(f"the table has no weight for key {key!r}")):
+            QuasiProbTable(entries, 2.0, 2)
 
-    def test_unused_keys_are_ignored(self):
+    def test_extra_key_is_named(self):
         table = quasiprob_table(bell_state(), 2.0)
-        grid = PointerGrid(-8, 8, 0.5)
-        extended = QuasiProbTable({**table.entries, "unused": math.nan}, 2.0, 2)
-        expected = reconstruct_density(table, grid, grid).values
-        np.testing.assert_array_equal(reconstruct_density(extended, grid, grid).values, expected)
+        with pytest.raises(ValueError, match="weight for key 'unused', which is not a 2-photon label"):
+            QuasiProbTable({**table.entries, "unused": 0.0}, 2.0, 2)
 
 
 class TestDeconvolve:
@@ -284,7 +298,15 @@ class TestDeconvolve:
             tracemalloc.stop()
 
 
+def unit_table(label_a, label_b) -> QuasiProbTable:
+    """The pair table of weight 1 at (label_a, label_b) and 0 at the other 35 keys."""
+    entries = {(a, b): 0.0 for b in PAIR_ROW_LABELS for a in PAIR_COLUMN_LABELS}
+    return QuasiProbTable({**entries, (label_a, label_b): 1.0}, LIMIT, 2)
+
+
 class TestKValue:
+    """The K value of one label pair, read from the K distribution of its unit table."""
+
     @pytest.mark.parametrize(
         "label_a,label_b,expected",
         [
@@ -296,13 +318,12 @@ class TestKValue:
         ],
     )
     def test_examples(self, label_a, label_b, expected):
-        assert k_value(label_a, label_b) == expected
+        assert k_distribution(unit_table(label_a, label_b)).weights == {k: float(k == expected) for k in range(-2, 3)}
 
     def test_invalid_labels_rejected(self):
-        with pytest.raises(ValueError):
-            k_value((2, 1), (0, 1))
-        with pytest.raises(ValueError):
-            k_value((0, 0), (0, 1))
+        for label in [((2, 1), (0, 1)), ((0, 0), (0, 1))]:
+            with pytest.raises(ValueError, match=re.escape(f"key {label!r}, which is not a 2-photon label")):
+                QuasiProbTable({**unit_table((0, 1), (0, 1)).entries, label: 0.0}, LIMIT, 2)
 
 
 class TestKDistribution:
@@ -348,13 +369,17 @@ class TestArmCount:
         with pytest.raises(ValueError, match="photon"):
             quasiprob_table(np.full(size, size**-0.5), 1.0)
 
+    def test_state_is_checked_before_its_size(self):
+        with pytest.raises(ValueError, match="not normalized"):
+            quasiprob_table(np.ones(16), 1.0)
+
     def test_twin_names_are_aliases_of_the_arm_generic_functions(self):
         # The benchmark checks CLI output bit for bit against coincidence_density.
         assert measurement.single_outcome_density is measurement.outcome_density
         assert measurement.coincidence_density is measurement.outcome_density
         assert quasiprob.quasiprob_table_single is quasiprob.quasiprob_table
         assert quasiprob.quasiprob_table_pair is quasiprob.quasiprob_table
-        assert len(weakpol.__all__) == 27 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
+        assert len(weakpol.__all__) == 26 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
         twins = ("single_outcome_density", "coincidence_density", "quasiprob_table_single", "quasiprob_table_pair")
         assert not any(hasattr(weakpol, name) for name in twins)
 
