@@ -197,9 +197,9 @@ def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.
 
 # A density of more than _ONE_CHUNK_CELLS cells is computed in runs of
 # first-arm points of at most _CHUNK_CELLS cells each, so that a caller
-# streaming the chunks holds the complex amplitudes of one chunk (16 bytes per
-# cell), not of the whole grid. Smaller densities stay in one piece: chunked,
-# a 401x401 pair took 3.9 ms instead of 2.8 ms (page faults and the join).
+# streaming the chunks holds the values of one chunk (8 bytes per cell), not
+# of the whole grid. Smaller densities stay in one piece: chunked, a 401x401
+# pair took 3.9 ms instead of 2.8 ms (page faults and the join).
 _ONE_CHUNK_CELLS = 2**20
 _CHUNK_CELLS = 2**18
 
@@ -238,6 +238,14 @@ def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
 def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> Iterator[np.ndarray]:
     """|<s2 sheet| K(m_a) K(m_b) ... |state>|^2 through the spectral form of each arm's kernel.
 
+    With the other arms' kernels applied to the amplitudes of s1 = e on the
+    first arm, B_e, and the first arm's kernel eigenvalues g_e(m_a), each
+    value is |g_- B_- + g_+ B_+|^2 = g_-^2 |B_-|^2 + 2 g_- g_+ Re(B_- conj B_+)
+    + g_+^2 |B_+|^2: one real product of the first arm's rows with three
+    arrays the size of the other arms' grids, so no grid-sized complex array
+    is made. Rounding can take the cancelling sum a few ulps below zero; such
+    values are set to 0.
+
     The state, ``delta_s``, the size budget and the float range are checked
     when this is called, and raise ``ValueError``. The values then come in
     consecutive runs of first-arm points, each of shape (run length, other
@@ -248,16 +256,26 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> It
     # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4).
     norm = math.sqrt(delta_s * _ROOT_TWO_PI)
     first, *rest = [_gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) / norm for m in _grid_points(grids, delta_s)]
-    points, cells = len(first), math.prod(map(len, [first, *rest])) * amplitudes.shape[-1]
+    # With the first arm's axis moved last, the other arms' kernels apply to the leading axes: branches[e, j] is B_e
+    # at cell j of the other arms' grids and sheets.
+    applied = _contract_arms(rest, np.moveaxis(amplitudes, 0, -1))
+    shape, branches = applied.shape[:-1], applied.reshape(-1, 2).T
+    # Rows |B_-|^2, 2 Re(B_- conj B_+), |B_+|^2.
+    terms = (branches[[0, 0, 1]] * branches[[0, 1, 1]].conj()).real * [[1.0], [2.0], [1.0]]
+    # Rows [g_-^2, g_- g_+, g_+^2], one per first-arm point.
+    coefficients = first[:, [0, 0, 1]] * first[:, [0, 1, 1]]
+    points, cells = len(first), len(first) * terms.shape[1]
     rows = points if cells <= _ONE_CHUNK_CELLS else max(1, _CHUNK_CELLS // (cells // points))
     runs = -(-points // rows)
-    # Runs of equal length within one point: a one-photon run of a single
-    # point goes through another numpy path and can differ in the last bit.
+    # Runs of equal length within one point, so that no run is a short remainder.
     bounds = [points * run // runs for run in range(runs + 1)]
-    return (
-        np.abs(_contract_arms([first[start:stop], *rest], amplitudes)) ** 2
-        for start, stop in zip(bounds, bounds[1:])
-    )
+
+    def chunk(start: int, stop: int) -> np.ndarray:
+        # einsum without optimize, not BLAS: the bits of a row must not depend on how many rows come with it.
+        values = np.einsum("ik,kj->ij", coefficients[start:stop], terms)
+        return np.maximum(values, 0.0, out=values).reshape(stop - start, *shape)
+
+    return (chunk(start, stop) for start, stop in zip(bounds, bounds[1:]))
 
 
 def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensity:
@@ -265,7 +283,10 @@ def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensit
 
     Each sheet is |<s2a, s2b, ...| K_a(m_a) K_b(m_b) ... |state>|^2 for a
     state of 2**arms amplitudes, evaluated through the spectral form of each
-    kernel: the same as applying ``measurement_kernel`` point by point.
+    kernel with the square expanded over the first arm's two kernel
+    eigenvalues: the same, to rounding, as applying ``measurement_kernel``
+    point by point, and never below 0. The values take 8 bytes per cell, and
+    a density of one chunk allocates little more.
     """
     chunks = list(_density_chunks(state, delta_s, grids))
     values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)

@@ -89,7 +89,8 @@ class QuasiProbTable:
     ``deficit`` records how far their sum falls short of one (identically
     zero for the projector construction, where the cross terms cancel in the
     total). Raises ``ValueError`` for an arm count outside 1 to 3, a missing
-    or extra key, or a NaN or infinite weight, so every consumer can trust it.
+    or extra key, a NaN or infinite weight, or weights whose doubled absolute
+    sum overflows, so every consumer can trust it.
     """
 
     entries: dict
@@ -111,6 +112,9 @@ class QuasiProbTable:
         for key, weight in self.entries.items():
             if not math.isfinite(weight):
                 raise ValueError(f"table weight {weight!r} of key {key!r} is not finite")
+        # |total|, |deficit - 1| and each partial sum of a K mean (|K| <= 2) are at most 2 sum |w|.
+        if not math.isfinite(2.0 * sum(map(abs, self.entries.values()))):
+            raise ValueError("table weights too large: 2 * sum(|weight|) overflows the float range")
 
     @property
     def total(self) -> float:

@@ -1,6 +1,7 @@
 import math
 import tracemalloc
 import warnings
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -250,6 +251,26 @@ class TestCoincidenceDensity:
             outcome_density(stokes_eigenstate(2, +1), 1.0, grid, grid)
 
 
+class TestThreePhotonDensity:
+    def test_matches_literal_kernel_application(self, rng):
+        # Three photons are the case where the first arm meets two other arms' kernels.
+        grids = (PointerGrid(-2, 2, 1.0), PointerGrid(-1.5, 1.5, 1.5), PointerGrid(-1, 2, 1.0))
+        # kron(s1, I, I), kron(I, s1, I) and kron(I, I, s1).
+        s1, identity = stokes_operator(1), np.eye(2)
+        targets = [reduce(np.kron, [s1 if arm == k else identity for arm in range(3)]) for k in range(3)]
+        for _ in range(3):
+            state = random_pure_state(rng, 8)
+            density = outcome_density(state, 0.6, *grids)
+            readout = [reduce(np.kron, [stokes_eigenstate(2, s2) for s2 in label]) for label in density.labels]
+            for cell in np.ndindex(density.values.shape[:-1]):
+                applied = state
+                for target, grid, i in zip(targets, grids, cell):
+                    applied = measurement_kernel(target, 0.6, float(grid.points()[i])) @ applied
+                for sheet, chi in enumerate(readout):
+                    literal = abs(np.vdot(chi, applied)) ** 2
+                    assert density.values[(*cell, sheet)] == pytest.approx(literal, abs=1e-14)
+
+
 class TestContractArms:
     @staticmethod
     def einsum_reference(matrices, weights):
@@ -313,11 +334,34 @@ class TestDensityChunks:
             tracemalloc.stop()
 
     def test_draining_the_chunks_holds_a_few_chunks_at_any_grid_size(self):
-        # A chunk's complex amplitudes take 16 bytes per cell.
+        # 16 bytes per cell: a chunk's 8-byte values and the previous chunk's, which the loop holds meanwhile.
         chunk_bytes = 16 * measurement._CHUNK_CELLS
         small, large = self.drain_peak(801), self.drain_peak(1501)
         assert large < 3 * chunk_bytes
         assert large < 1.1 * small
+
+    def test_draining_the_default_pair_chunks_holds_one_chunk_of_real_values(self):
+        # The default `weakpol pair`: 561x561 points, 4 sheets, in chunks of 8-byte values and nothing grid-sized.
+        grid = PointerGrid(-14, 14, 0.05)
+        tracemalloc.start()
+        try:
+            for chunk in measurement._density_chunks(bell_state(), 2.0, (grid, grid)):
+                del chunk
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * 8 * measurement._CHUNK_CELLS
+
+    def test_a_density_in_one_chunk_allocates_little_beyond_its_values(self):
+        grid = PointerGrid(-10, 10, 0.05)
+        tracemalloc.start()
+        try:
+            density = outcome_density(bell_state(), 2.0, grid, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert density.values.shape == (401, 401, 4)
+        assert peak < 1.25 * density.values.nbytes
 
     def test_chunks_are_runs_of_first_arm_points_within_the_chunk_size(self):
         grid_a, grid_b = PointerGrid(-14, 14, 0.05), PointerGrid(-3, 3, 0.01)
@@ -390,6 +434,29 @@ class TestNonnegativity:
         for _ in range(25):
             density = outcome_density(random_pure_state(rng, 4), 0.6, grid_2d, grid_2d)
             assert density.values.min() >= -1e-12
+
+    # The three-term sum can round below zero where the two s1 = +-1 branches cancel; it is clamped at 0.
+    @pytest.mark.parametrize("delta_s", [0.3, 0.6, 1.0, 1.5, 2.0])
+    def test_cancelling_sheets_through_m_zero_are_exactly_nonnegative(self, delta_s):
+        # y+ on s2 = -1: the branches are equal and opposite, and at m = 0 the density is sinh^2(0) = 0.
+        grid = PointerGrid(-3, 3, 0.125)
+        density = outcome_density(stokes_eigenstate(2, +1), delta_s, grid)
+        assert grid.points()[24] == 0.0 and density.sheet(-1)[24] == 0.0
+        assert density.values.min() >= 0.0
+        # Unclamped, 20 to 956 of these values of two and three y+ photons came out below zero at delta_s >= 1.
+        near_zero, coarse = PointerGrid(-1e-6, 1e-6, 1e-8), PointerGrid(-3, 3, 0.5)
+        for arms in (1, 2, 3):
+            state = reduce(np.kron, [stokes_eigenstate(2, +1)] * arms)
+            density = outcome_density(state, delta_s, near_zero, *[coarse] * (arms - 1))
+            assert density.values.min() >= 0.0
+
+    def test_densities_of_random_states_are_exactly_nonnegative(self, rng):
+        grids = [PointerGrid(-6, 6, 0.02), PointerGrid(-6, 6, 0.1), PointerGrid(-3, 3, 0.25)]
+        for arms, grid in enumerate(grids, start=1):
+            for delta_s in (0.3, 0.6, 2.0):
+                for _ in range(8):
+                    density = outcome_density(random_pure_state(rng, 2**arms), delta_s, *[grid] * arms)
+                    assert density.values.min() >= 0.0
 
     def test_pair_labels_cover_all_four_sheets(self, bell_density):
         assert set(bell_density.labels) == {(1, 1), (1, -1), (-1, 1), (-1, -1)}

@@ -204,6 +204,23 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="weight for key 'unused', which is not a 2-photon label"):
             QuasiProbTable({**table.entries, "unused": 0.0}, 2.0, 2)
 
+    @staticmethod
+    def pair_table_with_k_extremes(weight):
+        entries = dict.fromkeys(quasiprob_table(bell_state(), 2.0).entries, 0.0)
+        # K = 2 and K = -2.
+        entries[(1, 1), (1, 1)] = entries[(-1, -1), (1, 1)] = weight
+        return entries
+
+    def test_weights_whose_doubled_sum_overflows_are_rejected(self):
+        # Else its K mean would be inf - inf = nan, its total inf and its deficit -inf.
+        with pytest.raises(ValueError, match="overflows the float range"):
+            QuasiProbTable(self.pair_table_with_k_extremes(1e308), 2.0, 2)
+
+    def test_weights_inside_the_float_range_give_finite_sums(self):
+        table = QuasiProbTable(self.pair_table_with_k_extremes(4e307), 2.0, 2)
+        distribution = k_distribution(table)
+        assert (distribution.mean(), distribution.total(), table.total, table.deficit) == (0.0, 8e307, 8e307, -8e307)
+
 
 class TestDeconvolve:
     def test_recovers_single_table(self):
