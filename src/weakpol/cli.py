@@ -285,7 +285,9 @@ def _density_rows(
 
     ``chunks`` are the values in consecutive runs of first-arm points, each of
     shape (run length, other grid counts..., labels), as
-    ``measurement._density_chunks`` yields them; one chunk is held at a time.
+    ``measurement._density_chunks`` yields them by default: at most
+    ``_CHUNK_CELLS`` (2**18) cells each, at any grid size. One run is held at
+    a time.
     A row is ``lead + sep.join(fields) + trail``: the grid coordinate of each
     arm, then the value of each label formatted by ``number``. Rows are
     separated by ``joiner``, within and between blocks. The first arm's

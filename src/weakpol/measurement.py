@@ -8,12 +8,11 @@ is represented by the Gaussian operator
 followed by a projective readout of s2. ``outcome_density`` samples the
 joint density on one uniform pointer grid per photon, for 1 to 3 photons;
 quadrature is the plain step-weighted sum over grid points.
-A large density is computed in chunks of first-arm points, which the CLI
-streams and the library joins. Every density, rebuild, deconvolution and
-completeness grid must fit a size budget (at most 2**24 cells and 1342177
-points per grid), and a density's peak (delta_s sqrt(2 pi))**-arms must be a
-finite float, or ``ValueError`` is raised before anything grid-sized is
-allocated.
+A density is one product, which the CLI streams in runs of first-arm points.
+Every density, rebuild, deconvolution and completeness grid must fit a size
+budget (at most 2**24 cells and 1342177 points per grid), and a density's
+peak (delta_s sqrt(2 pi))**-arms must be a finite float, or ``ValueError``
+is raised before anything grid-sized is allocated.
 The infinite-resolution limit is represented by ``math.inf`` (exported as
 ``LIMIT``) and is only meaningful for the quasi-probability tables, never for
 density evaluation.
@@ -195,20 +194,17 @@ def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.
         return np.exp(-scale * z * z)
 
 
-# A density of more than _ONE_CHUNK_CELLS cells is computed in runs of
-# first-arm points of at most _CHUNK_CELLS cells each, so that a caller
-# streaming the chunks holds the values of one chunk (8 bytes per cell), not
-# of the whole grid. Smaller densities stay in one piece: chunked, a 401x401
-# pair took 3.9 ms instead of 2.8 ms (page faults and the join).
-_ONE_CHUNK_CELLS = 2**20
+# A caller that streams a density takes it in runs of first-arm points of at
+# most _CHUNK_CELLS cells each, so that it holds the values of one run (8 bytes
+# per cell), not of the whole grid.
 _CHUNK_CELLS = 2**18
 
 # The memory budget of one density, checked before anything grid-sized is
-# allocated. Measured costs: the values that outcome_density joins from the
-# chunks take 16 bytes per cell at the join (the chunks and the joined copy),
-# and each arm takes up to 200 bytes per grid point when the CLI writes it
-# (its Gaussian factors, its coordinate text and, for an arm after the first,
-# its share of a one-point chunk).
+# allocated. Measured costs: a density or a rebuild holds 8 bytes per cell, and
+# a caller that holds a second grid-sized array 16, as `weakpol check` does
+# when it compares a rebuild with the density; each arm takes up to 200 bytes
+# per grid point when the CLI writes it (its Gaussian factors, its coordinate
+# text and, for an arm after the first, its share of a one-point run).
 _BUDGET_BYTES = 2**28
 _CELL_BYTES = 16
 _POINT_BYTES = 200
@@ -235,7 +231,7 @@ def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
     return [grid.points() for grid in grids]
 
 
-def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> Iterator[np.ndarray]:
+def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], cells=_CHUNK_CELLS) -> Iterator[np.ndarray]:
     """|<s2 sheet| K(m_a) K(m_b) ... |state>|^2 through the spectral form of each arm's kernel.
 
     With the other arms' kernels applied to the amplitudes of s1 = e on the
@@ -249,7 +245,8 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> It
     The state, ``delta_s``, the size budget and the float range are checked
     when this is called, and raise ``ValueError``. The values then come in
     consecutive runs of first-arm points, each of shape (run length, other
-    grid counts..., labels).
+    grid counts..., labels), of at most ``cells`` cells but never less than
+    one point; ``cells=None`` gives the whole density as one run.
     """
     amplitudes = _amplitudes(state, len(grids))
     delta_s = validate_resolution(delta_s)
@@ -264,18 +261,14 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...]) -> It
     terms = (branches[[0, 0, 1]] * branches[[0, 1, 1]].conj()).real * [[1.0], [2.0], [1.0]]
     # Rows [g_-^2, g_- g_+, g_+^2], one per first-arm point.
     coefficients = first[:, [0, 0, 1]] * first[:, [0, 1, 1]]
-    points, cells = len(first), len(first) * terms.shape[1]
-    rows = points if cells <= _ONE_CHUNK_CELLS else max(1, _CHUNK_CELLS // (cells // points))
-    runs = -(-points // rows)
-    # Runs of equal length within one point, so that no run is a short remainder.
-    bounds = [points * run // runs for run in range(runs + 1)]
+    rows = len(first) if cells is None else max(1, cells // terms.shape[1])
 
-    def chunk(start: int, stop: int) -> np.ndarray:
+    def run(start: int) -> np.ndarray:
         # einsum without optimize, not BLAS: the bits of a row must not depend on how many rows come with it.
-        values = np.einsum("ik,kj->ij", coefficients[start:stop], terms)
-        return np.maximum(values, 0.0, out=values).reshape(stop - start, *shape)
+        values = np.einsum("ik,kj->ij", coefficients[start : start + rows], terms)
+        return np.maximum(values, 0.0, out=values).reshape(-1, *shape)
 
-    return (chunk(start, stop) for start, stop in zip(bounds, bounds[1:]))
+    return map(run, range(0, len(first), rows))
 
 
 def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensity:
@@ -285,11 +278,10 @@ def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensit
     state of 2**arms amplitudes, evaluated through the spectral form of each
     kernel with the square expanded over the first arm's two kernel
     eigenvalues: the same, to rounding, as applying ``measurement_kernel``
-    point by point, and never below 0. The values take 8 bytes per cell, and
-    a density of one chunk allocates little more.
+    point by point, and never below 0. The values are one product into
+    their final array, 8 bytes per cell, and little else is allocated.
     """
-    chunks = list(_density_chunks(state, delta_s, grids))
-    values = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+    (values,) = _density_chunks(state, delta_s, grids, None)
     return OutcomeDensity(grids=grids, values=values)
 
 

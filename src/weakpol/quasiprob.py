@@ -188,11 +188,15 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
 
     Inverse of the interpretation behind the tables: at finite resolution the
     result equals the directly computed outcome density at every grid point.
-    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range.
+    Like ``outcome_density``, it raises ``ValueError`` over the size budget or the float range, of grids or weights.
     """
     delta_s = validate_resolution(table.delta_s)
     if len(grids) != table.arms:
         raise ValueError(f"a {table.arms}-photon table needs one grid per photon, got {len(grids)} grid(s)")
+    # Each Gaussian peaks at (delta_s sqrt(2 pi))**-1: a rebuild's partial sums are at most sum |w| max(1, peak)**arms.
+    bound = math.prod([sum(map(abs, table.entries.values())), *[max(1.0, 1.0 / (delta_s * _ROOT_TWO_PI))] * table.arms])
+    if bound == math.inf:
+        raise ValueError(f"table weights too large for delta_s {delta_s!r}: the rebuild could overflow the float range")
     points = _grid_points(grids, delta_s)
     weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
     values = _contract_arms([_gaussian_columns(arm, delta_s) for arm in points], weights)

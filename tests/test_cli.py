@@ -123,25 +123,25 @@ class TestPairCommand:
 
 
 class TestChunkedDensityOutput:
-    """Densities on either side of the one-chunk limit (2**20 cells) print the library's values exactly."""
+    """Densities on either side of the one-run limit (2**18 cells) print the library's one-product values exactly."""
 
     @pytest.mark.parametrize(
         "grids,fmt,chunked",
         [
-            ((PointerGrid(-2, 2, 4 / 511), PointerGrid(-2, 2, 4 / 511)), "csv", False),
-            ((PointerGrid(-2, 2, 4 / 511), PointerGrid(-2, 2, 4 / 512)), "json", True),
-            ((PointerGrid(-14, 14, 28 / 2048), PointerGrid(-3, 3, 6 / 127)), "csv", True),
-            ((PointerGrid(-3, 3, 6 / 99), PointerGrid(-14, 14, 28 / 2620)), "json", False),
-            ((PointerGrid(-6, 6, 12 / 2**19),), "csv", True),
-            ((PointerGrid(-6, 6, 12 / 2**19),), "json", True),
+            ((PointerGrid(-2, 2, 4 / 255), PointerGrid(-2, 2, 4 / 255)), "csv", False),
+            ((PointerGrid(-2, 2, 4 / 255), PointerGrid(-2, 2, 4 / 256)), "json", True),
+            ((PointerGrid(-14, 14, 28 / 2048), PointerGrid(-3, 3, 6 / 31)), "csv", True),
+            ((PointerGrid(-3, 3, 6 / 99), PointerGrid(-14, 14, 28 / 654)), "json", False),
+            ((PointerGrid(-6, 6, 12 / 2**17),), "csv", True),
+            ((PointerGrid(-6, 6, 12 / 2**17),), "json", True),
         ],
-        ids=["pair-512x512", "pair-512x513", "pair-2049x128", "pair-100x2621", "single-524289", "single-524289"],
+        ids=["pair-256x256", "pair-256x257", "pair-2049x32", "pair-100x655", "single-131073-csv", "single-131073-json"],
     )
     def test_output_parses_to_library_values(self, capsys, grids, fmt, chunked):
         state, delta_s = (stokes_eigenstate(2, +1), 0.6) if len(grids) == 1 else (bell_state(), 2.0)
         expected = outcome_density(state, delta_s, *grids)
         cells = expected.values.size
-        assert (cells > 2**20) == chunked and abs(cells - 2**20) < 2**12
+        assert (cells > measurement._CHUNK_CELLS) == chunked and abs(cells - measurement._CHUNK_CELLS) <= 2**10
         runs = sum(1 for _ in measurement._density_chunks(state, delta_s, grids))
         assert (runs > 1) == chunked
 

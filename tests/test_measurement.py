@@ -352,16 +352,24 @@ class TestDensityChunks:
             tracemalloc.stop()
         assert peak < 1.5 * 8 * measurement._CHUNK_CELLS
 
-    def test_a_density_in_one_chunk_allocates_little_beyond_its_values(self):
-        grid = PointerGrid(-10, 10, 0.05)
+    @staticmethod
+    def density_peak(points):
+        grid = PointerGrid(-10, 10, 20 / (points - 1))
         tracemalloc.start()
         try:
             density = outcome_density(bell_state(), 2.0, grid, grid)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert density.values.shape == (401, 401, 4)
-        assert peak < 1.25 * density.values.nbytes
+        assert density.values.shape == (points, points, 4)
+        return peak / density.values.nbytes
+
+    def test_a_density_in_one_chunk_allocates_little_beyond_its_values(self):
+        assert self.density_peak(401) < 1.25
+
+    def test_a_density_of_many_chunks_allocates_little_beyond_its_values(self):
+        # The size of the default `weakpol pair` density, 561x561 points: the CLI takes it in 5 runs, the library in one.
+        assert self.density_peak(561) < 1.25
 
     def test_chunks_are_runs_of_first_arm_points_within_the_chunk_size(self):
         grid_a, grid_b = PointerGrid(-14, 14, 0.05), PointerGrid(-3, 3, 0.01)
@@ -370,15 +378,13 @@ class TestDensityChunks:
         assert {chunk.shape[1:] for chunk in chunks} == {(601, 4)}
         assert sum(len(chunk) for chunk in chunks) == 561
 
-    @pytest.mark.parametrize("arms,points", [(1, 2**19 + 1), (2, 513)])
-    def test_chunks_equal_the_density_in_one_piece(self, monkeypatch, arms, points):
-        # 2**19 + 1 points of one arm split into runs of 131072 would leave a last run of one point.
+    @pytest.mark.parametrize("arms,points", [(1, 2**19 + 1), (2, 513), (3, 41)])
+    def test_chunks_equal_the_density_in_one_piece(self, rng, arms, points):
+        # 2**19 + 1 points of one arm in runs of 131072 leave a last run of one point.
         grids = (PointerGrid(-6, 6, 12 / (points - 1)),) * arms
-        state = stokes_eigenstate(2, +1) if arms == 1 else bell_state()
+        state = [stokes_eigenstate(2, +1), bell_state(), random_pure_state(rng, 8)][arms - 1]
         chunks = list(measurement._density_chunks(state, 0.6, grids))
-        monkeypatch.setattr(measurement, "_ONE_CHUNK_CELLS", math.inf)
-        (whole,) = measurement._density_chunks(state, 0.6, grids)
-        assert len(chunks) > 1 and np.array_equal(np.concatenate(chunks), whole)
+        assert len(chunks) > 1 and np.array_equal(np.concatenate(chunks), outcome_density(state, 0.6, *grids).values)
 
     def test_a_lone_chunk_is_the_density(self, monkeypatch):
         chunk = np.ones((3, 2))

@@ -221,6 +221,22 @@ class TestReconstruction:
         distribution = k_distribution(table)
         assert (distribution.mean(), distribution.total(), table.total, table.deficit) == (0.0, 8e307, 8e307, -8e307)
 
+    def test_weights_too_large_for_the_rebuild_raise_before_allocating(self):
+        # At delta_s = 0.1 the Gaussians peak at 3.99 per arm: 4e307 * 3.99**2 is past the float range.
+        entries = dict.fromkeys(quasiprob_table(bell_state(), 2.0).entries, 0.0)
+        entries[(1, 1), (1, 1)] = 4e307
+        grid = PointerGrid(-2, 2, 0.5)
+        table = QuasiProbTable(entries, 0.1, 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="could overflow the float range"):
+                reconstruct_density(table, grid, grid)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
+        # At delta_s = 0.4 the peak is below 1, and the same weights rebuild to finite values.
+        assert np.isfinite(reconstruct_density(QuasiProbTable(entries, 0.4, 2), grid, grid).values).all()
+
 
 class TestDeconvolve:
     def test_recovers_single_table(self):
