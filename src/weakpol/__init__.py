@@ -6,7 +6,7 @@ joint quasi-probability tables hiding behind them, and the distribution of
 the CHSH correlation that explains the Bell violation.
 """
 
-from .linalg import expectation, operator_function
+from .linalg import expectation
 from .measurement import (
     LIMIT,
     OutcomeDensity,
@@ -14,7 +14,6 @@ from .measurement import (
     SINGLE_LABELS,
     completeness_defect,
     eigenstate_density_closed_form,
-    measurement_kernel,
     outcome_density,
 )
 from .polarization import (
@@ -58,8 +57,6 @@ __all__ = [
     "eigenstate_density_closed_form",
     "expectation",
     "k_distribution",
-    "measurement_kernel",
-    "operator_function",
     "outcome_density",
     "quasiprob_table",
     "reconstruct_density",

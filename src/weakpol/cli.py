@@ -470,7 +470,8 @@ def _check_results() -> list[tuple[str, bool, str]]:
         s1 = [np.reshape(key, (-1, 2))[:, 0] for key in limit.entries]
         zeros += [abs(sum(w for s, w in zip(s1, limit.entries.values()) if s[arm] == 0)) for arm in range(arms)]
         rebuilt = reconstruct_density(quasiprob_table(state, delta_s), *grids).values
-        rebuilds.append(float(np.max(np.abs(rebuilt - outcome_density(state, delta_s, *grids).values))))
+        rebuilt -= outcome_density(state, delta_s, *grids).values
+        rebuilds.append(float(np.max(np.abs(rebuilt, out=rebuilt))))
     record("table totals equal one", max(totals), 1e-12)
     record("zero total weight at s1=0", max(zeros), 1e-12)
     record("density rebuilt from table weights", max(rebuilds), 1e-10)

@@ -27,7 +27,7 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import operator_function, require_normalized
+from .linalg import require_normalized
 from .polarization import stokes_eigenstate, stokes_operator
 
 LIMIT = math.inf
@@ -277,7 +277,7 @@ def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensit
     Each sheet is |<s2a, s2b, ...| K_a(m_a) K_b(m_b) ... |state>|^2 for a
     state of 2**arms amplitudes, evaluated through the spectral form of each
     kernel with the square expanded over the first arm's two kernel
-    eigenvalues: the same, to rounding, as applying ``measurement_kernel``
+    eigenvalues: the same, to rounding, as applying the kernel P(m) above
     point by point, and never below 0. The values are one product into
     their final array, 8 bytes per cell, and little else is allocated.
     """
@@ -287,15 +287,6 @@ def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensit
 
 # The old single/pair names, kept until the benchmark harness in bench/ uses the new one.
 single_outcome_density = coincidence_density = outcome_density
-
-
-def measurement_kernel(target, delta_s: float, m: float) -> np.ndarray:
-    """Gaussian measurement operator for pointer value ``m`` on a Hermitian target; NaN ``m`` raises ``ValueError``."""
-    delta_s = validate_resolution(delta_s)
-    if math.isnan(m):
-        raise ValueError("pointer value m must not be NaN")
-    kernel = operator_function(target, lambda x: _gaussians(np.array([x]), [m], delta_s, 0.25).item())
-    return kernel / math.sqrt(delta_s * _ROOT_TWO_PI)
 
 
 def eigenstate_density_closed_form(delta_s: float, m):

@@ -269,6 +269,16 @@ class TestCheckCommand:
         assert "FAIL" not in out
         assert out.count("PASS") == 10
 
+    def test_rebuild_comparison_holds_two_density_sized_arrays(self):
+        # The pair rebuild and its density on 561 x 561 points take 10.07 MB each; their difference is made in place.
+        tracemalloc.start()
+        try:
+            cli._check_results()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 25e6
+
 
 class TestRoundHalfAwayFromZero:
     @pytest.mark.parametrize(

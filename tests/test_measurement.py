@@ -10,21 +10,19 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from weakpol import measurement
-from weakpol.linalg import operator_function
 from weakpol.measurement import (
     LIMIT,
     OutcomeDensity,
     PointerGrid,
     completeness_defect,
     eigenstate_density_closed_form,
-    measurement_kernel,
     outcome_density,
     validate_resolution,
 )
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import QuasiProbTable, deconvolve, quasiprob_table, reconstruct_density
 
-from conftest import random_pure_state
+from conftest import kernel, random_pure_state, spectral
 
 
 class TestPointerGrid:
@@ -72,24 +70,20 @@ class TestOutcomeDensityLabels:
 
 
 class TestMeasurementKernel:
+    """The tests' point-by-point reference for P(m): ``conftest.kernel``."""
+
     def test_centered_kernel_on_sigma_x(self):
-        kernel = measurement_kernel(stokes_operator(1), 1.0, 0.0)
         expected = math.exp(-0.25) * (2.0 * math.pi) ** -0.25 * np.eye(2)
-        assert np.allclose(kernel, expected, atol=1e-15)
+        assert np.allclose(kernel(stokes_operator(1), 1.0, 0.0), expected, atol=1e-15)
 
     @pytest.mark.parametrize("m", [-2.0, -0.3, 0.0, 1.7])
     def test_commutes_with_target(self, m):
         s1 = stokes_operator(1)
-        kernel = measurement_kernel(s1, 0.6, m)
-        assert np.max(np.abs(kernel @ s1 - s1 @ kernel)) < 1e-15
+        p = kernel(s1, 0.6, m)
+        assert np.max(np.abs(p @ s1 - s1 @ p)) < 1e-15
 
     def test_positive_semidefinite(self):
-        kernel = measurement_kernel(stokes_operator(1), 0.5, 1.3)
-        assert np.linalg.eigvalsh(kernel).min() > -1e-15
-
-    def test_limit_resolution_rejected(self):
-        with pytest.raises(ValueError):
-            measurement_kernel(stokes_operator(1), LIMIT, 0.0)
+        assert np.linalg.eigvalsh(kernel(stokes_operator(1), 0.5, 1.3)).min() > -1e-15
 
 
 class TestCompleteness:
@@ -112,9 +106,9 @@ class TestCompleteness:
             def integrated_kernel(x):
                 return grid.step * float(np.sum(np.exp(-0.5 * ((points - x) / delta_s) ** 2))) / norm
 
-            quadrature = operator_function(stokes_operator(1), integrated_kernel)
-            spectral = float(np.max(np.abs(quadrature - np.eye(2))))
-            assert completeness_defect(delta_s, grid) == pytest.approx(spectral, abs=1e-15)
+            quadrature = spectral(stokes_operator(1), integrated_kernel)
+            defect = float(np.max(np.abs(quadrature - np.eye(2))))
+            assert completeness_defect(delta_s, grid) == pytest.approx(defect, abs=1e-15)
 
 
 class TestSingleOutcomeDensity:
@@ -142,9 +136,9 @@ class TestSingleOutcomeDensity:
         grid = PointerGrid(-3, 3, 0.5)
         density = outcome_density(state, 0.6, grid)
         for i, m in enumerate(grid.points()):
-            kernel = measurement_kernel(stokes_operator(1), 0.6, float(m))
+            p = kernel(stokes_operator(1), 0.6, float(m))
             for s2 in (1, -1):
-                literal = abs(np.vdot(stokes_eigenstate(2, s2), kernel @ state)) ** 2
+                literal = abs(np.vdot(stokes_eigenstate(2, s2), p @ state)) ** 2
                 assert density.sheet(s2)[i] == pytest.approx(literal, abs=1e-14)
 
     def test_parity_symmetry_of_eigenstate_density(self):
@@ -238,9 +232,9 @@ class TestCoincidenceDensity:
                 for label in density.labels
             }
             for i, ma in enumerate(grid_a.points()):
-                kernel_a = measurement_kernel(np.kron(stokes_operator(1), np.eye(2)), 0.6, float(ma))
+                kernel_a = kernel(np.kron(stokes_operator(1), np.eye(2)), 0.6, float(ma))
                 for k, mb in enumerate(grid_b.points()):
-                    kernel_b = measurement_kernel(np.kron(np.eye(2), stokes_operator(1)), 0.6, float(mb))
+                    kernel_b = kernel(np.kron(np.eye(2), stokes_operator(1)), 0.6, float(mb))
                     for label, chi in readout.items():
                         literal = abs(np.vdot(chi, kernel_a @ kernel_b @ state)) ** 2
                         assert density.sheet(label)[i, k] == pytest.approx(literal, abs=1e-14)
@@ -265,7 +259,7 @@ class TestThreePhotonDensity:
             for cell in np.ndindex(density.values.shape[:-1]):
                 applied = state
                 for target, grid, i in zip(targets, grids, cell):
-                    applied = measurement_kernel(target, 0.6, float(grid.points()[i])) @ applied
+                    applied = kernel(target, 0.6, float(grid.points()[i])) @ applied
                 for sheet, chi in enumerate(readout):
                     literal = abs(np.vdot(chi, applied)) ** 2
                     assert density.values[(*cell, sheet)] == pytest.approx(literal, abs=1e-14)
@@ -495,7 +489,6 @@ class TestResolutionRange:
             lambda: list(quasiprob_table(bell_state(), delta_s).entries.values()),
             lambda: reconstruct_density(quasiprob_table(bell_state(), delta_s), grid, grid).values,
             lambda: eigenstate_density_closed_form(delta_s, grid.points()),
-            lambda: measurement_kernel(stokes_operator(1), delta_s, 0.5),
             lambda: completeness_defect(delta_s, grid),
         ]
         try:
@@ -531,21 +524,15 @@ class TestPointerValueRange:
             assert completeness_defect(1e-10, grid) == 1.0
             rebuilt = reconstruct_density(quasiprob_table(stokes_eigenstate(2, +1), 1e-10), grid)
             assert not rebuilt.values.any()
-            assert not measurement_kernel(stokes_operator(1), 1e-10, 1e300).any()
 
     @settings(max_examples=150, deadline=None)
     @given(m=st.floats(), delta_s=st.sampled_from([1e-150, 1e-10, 0.6, 1e150]))
     @example(m=math.nan, delta_s=0.6)
     def test_every_float_gives_finite_values_or_value_error(self, m, delta_s):
-        calls = [
-            lambda: eigenstate_density_closed_form(delta_s, m),
-            lambda: measurement_kernel(stokes_operator(1), delta_s, m),
-        ]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            for call in calls:
-                if math.isnan(m):
-                    with pytest.raises(ValueError, match="NaN"):
-                        call()
-                else:
-                    assert np.isfinite(np.asarray(call())).all()
+            if math.isnan(m):
+                with pytest.raises(ValueError, match="NaN"):
+                    eigenstate_density_closed_form(delta_s, m)
+            else:
+                assert np.isfinite(eigenstate_density_closed_form(delta_s, m)).all()

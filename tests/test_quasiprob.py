@@ -16,7 +16,6 @@ from weakpol.measurement import (
     LIMIT,
     OutcomeDensity,
     PointerGrid,
-    measurement_kernel,
     outcome_density,
 )
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
@@ -31,7 +30,7 @@ from weakpol.quasiprob import (
     reconstruct_density,
 )
 
-from conftest import random_pure_state
+from conftest import kernel, random_pure_state
 
 ROOT_TWO = math.sqrt(2.0)
 
@@ -412,7 +411,14 @@ class TestArmCount:
         assert measurement.coincidence_density is measurement.outcome_density
         assert quasiprob.quasiprob_table_single is quasiprob.quasiprob_table
         assert quasiprob.quasiprob_table_pair is quasiprob.quasiprob_table
-        assert len(weakpol.__all__) == 26 and {"outcome_density", "quasiprob_table"} <= set(weakpol.__all__)
+        # The whole public API, so that adding or removing a name shows here.
+        assert sorted(weakpol.__all__) == [
+            "IllConditionedDesignError", "KDistribution", "LIMIT", "OutcomeDensity", "PAIR_COLUMN_LABELS",
+            "PAIR_ROW_LABELS", "PointerGrid", "QuasiProbTable", "SINGLE_LABELS", "bell_expectation", "bell_operator",
+            "bell_state", "chsh_combination", "classical_chsh_bound", "completeness_defect", "deconvolve",
+            "eigenstate_density_closed_form", "expectation", "k_distribution", "outcome_density", "quasiprob_table",
+            "reconstruct_density", "stokes_eigenstate", "stokes_operator",
+        ]
         twins = ("single_outcome_density", "coincidence_density", "quasiprob_table_single", "quasiprob_table_pair")
         assert not any(hasattr(weakpol, name) for name in twins)
 
@@ -422,7 +428,7 @@ class TestThreePhotons:
         grid = PointerGrid(-2, 2, 1.0)
         density = outcome_density(GHZ, 0.6, grid, grid, grid)
         assert density.labels == tuple(product((1, -1), repeat=3))
-        kernels = [measurement_kernel(stokes_operator(1), 0.6, m) for m in grid.points()]
+        kernels = [kernel(stokes_operator(1), 0.6, m) for m in grid.points()]
         for cell in np.ndindex(density.values.shape):
             *points, sheet = cell
             bra = kron(*[stokes_eigenstate(2, s2) for s2 in density.labels[sheet]])
