@@ -4,8 +4,8 @@ Commands: single, pair, table, kdist, bound, check. Data commands serialize
 to CSV or JSON (floats in shortest round-trip form, so re-parsing reproduces
 the computed values exactly); bound and kdist default to short text
 summaries. single and pair share one handler, driven by the arm count.
-Density output is streamed from the library's chunks of values, in blocks
-of rows, so memory stays bounded by one chunk rather than by the grid or the
+Density output is streamed from the library's runs of rows, one text block
+per run, so memory stays bounded by one run rather than by the grid or the
 size of the text; a density over the library's size budget is a usage
 error. The bytes equal ``csv.writer`` over ``repr`` fields and
 ``json.dumps(indent=2)`` of the whole document. If the optional orjson
@@ -41,6 +41,7 @@ import numpy as np
 from .measurement import (
     LIMIT,
     PointerGrid,
+    _RUN_ROWS,
     _density_chunks,
     completeness_defect,
     eigenstate_density_closed_form,
@@ -217,11 +218,6 @@ def _delta_s_config(delta_s: float):
     return "inf" if math.isinf(delta_s) else delta_s
 
 
-# Rows per streamed block: each block's text stays a few hundred kilobytes,
-# and the fixed cost of each block is small against that of its values.
-_BLOCK_ROWS = 1024
-
-
 def _tokens(values: np.ndarray, number, orjson) -> np.ndarray:
     """The text of each float in ``values``, in C order, as ``number`` writes it.
 
@@ -279,47 +275,40 @@ def _orjson():
 
 
 def _density_rows(
-    grids: list[PointerGrid], chunks: Iterable[np.ndarray], lead: str, sep: str, trail: str, joiner: str, number
+    grids: list[PointerGrid], runs: Iterable[np.ndarray], lead: str, sep: str, trail: str, joiner: str, number
 ) -> Iterator[str]:
-    """Rows of a density as text, streamed in blocks of up to ``_BLOCK_ROWS`` rows.
+    """Rows of a density as text, one block per run.
 
-    ``chunks`` are the values in consecutive runs of first-arm points, each of
-    shape (run length, other grid counts..., labels), as
-    ``measurement._density_chunks`` yields them by default: at most
-    ``_CHUNK_CELLS`` (2**18) cells each, at any grid size. One run is held at
-    a time.
-    A row is ``lead + sep.join(fields) + trail``: the grid coordinate of each
-    arm, then the value of each label formatted by ``number``. Rows are
-    separated by ``joiner``, within and between blocks. The first arm's
-    coordinates are formatted per chunk, the other arms' once.
+    ``runs`` are the values in runs of consecutive rows of shape (run length,
+    labels), as ``measurement._density_chunks`` yields them by default: at
+    most ``_RUN_ROWS`` (1024) rows each, at any grid size. No run is held
+    while the next one is computed. A row is ``lead + sep.join(fields) +
+    trail``: the grid coordinate of each arm, then the value of each label
+    formatted by ``number``; rows are separated by ``joiner``. The first
+    arm's coordinates are formatted per run, the other arms' once.
     """
     orjson = _orjson()
     first = grids[0].points()
     others = [_tokens(grid.points(), number, orjson) + sep for grid in grids[1:]]
-    arms = len(grids)
     # A row's parts: the break from the previous row, which ends with this
     # row's lead, each coordinate with its sep, then the values with a sep
-    # between them. The first row has only the lead.
-    row_break = trail + joiner + lead
-    skip = len(row_break) - len(lead)
-    done = 0
-    for chunk in chunks:
-        coordinates = [_tokens(first[done : done + len(chunk)], number, orjson) + sep, *others]
-        counts, done = chunk.shape[:-1], done + len(chunk)
-        values = chunk.reshape(-1, chunk.shape[-1])
-        rows, sheets = values.shape
-        parts = np.full((min(rows, _BLOCK_ROWS), arms + 2 * sheets), sep, dtype=object)
-        parts[:, 0] = row_break
-        for start in range(0, rows, len(parts)):
-            stop = min(start + len(parts), rows)
-            block = parts[: stop - start]
-            for axis, index in enumerate(np.unravel_index(np.arange(start, stop), counts)):
-                block[:, axis + 1] = coordinates[axis][index]
-            block[:, arms + 1 :: 2] = _tokens(values[start:stop], number, orjson).reshape(stop - start, sheets)
-            yield "".join(block.ravel().tolist())[skip:]
-            skip = 0
-        # Else the loop holds this chunk while the next one is computed.
-        del chunk, values
+    # between them. The first row has only the lead. Every run refills one
+    # buffer: a new one per run was about 10% slower.
+    parts = np.full((_RUN_ROWS, len(grids) + 2 * 2 ** len(grids)), sep, dtype=object)
+    parts[:, 0] = trail + joiner + lead
+    start, skip = 0, len(trail + joiner)
+    for run in runs:
+        rows = len(run)
+        first_index, *other_index = np.unravel_index(np.arange(start, start + rows), [grid.count for grid in grids])
+        lo = first_index[0]
+        parts[:rows, 1] = (_tokens(first[lo : first_index[-1] + 1], number, orjson) + sep)[first_index - lo]
+        for axis, (tokens, index) in enumerate(zip(others, other_index), 2):
+            parts[:rows, axis] = tokens[index]
+        parts[:rows, len(grids) + 1 :: 2] = _tokens(run, number, orjson).reshape(rows, -1)
+        del run  # Else the loop holds it while the next run is computed.
+        start += rows
+        yield "".join(parts[:rows].ravel().tolist())[skip:]
+        skip = 0
     yield trail
 
 
@@ -328,9 +317,9 @@ _ROWS_PLACEHOLDER = "\0rows"
 
 
 def _density_text(
-    fmt: str, command: str, config: dict, grids: list[PointerGrid], chunks: Iterable[np.ndarray], columns: list[str]
+    fmt: str, command: str, config: dict, grids: list[PointerGrid], runs: Iterable[np.ndarray], columns: list[str]
 ) -> Iterator[str]:
-    """The CSV or JSON document of a density, streamed chunk by chunk, block by block.
+    """The CSV or JSON document of a density, streamed one block per run of rows.
 
     CSV equals ``csv.writer(lineterminator="\\n")`` over ``repr`` fields. JSON
     equals ``_json_text`` of ``{"columns": columns, "rows": [[coordinates...,
@@ -339,7 +328,7 @@ def _density_text(
     """
     if fmt == "csv":
         yield _csv_text(columns, [])
-        yield from _density_rows(grids, chunks, "", ",", "\n", "", float.__repr__)
+        yield from _density_rows(grids, runs, "", ",", "\n", "", float.__repr__)
         return
     text = _json_text(command, config, {"columns": columns, "rows": [_ROWS_PLACEHOLDER]})
     # The rows are the last value in the document, so the last match is theirs.
@@ -348,7 +337,7 @@ def _density_text(
     field = indent + "  "
     yield head
     # json writes non-finite floats as NaN/Infinity/-Infinity, which repr does not.
-    yield from _density_rows(grids, chunks, "[" + field, "," + field, indent + "]", "," + indent, json.dumps)
+    yield from _density_rows(grids, runs, "[" + field, "," + field, indent + "]", "," + indent, json.dumps)
     yield tail
 
 
@@ -370,13 +359,13 @@ def _cmd_density(args) -> int:
     # Every arm after the first reads --grid-b, which defaults to --grid.
     grids = [first] + [first if args.grid_b is None else _parse_grid(args.grid_b)] * (arms - 1)
     try:
-        chunks = _density_chunks(state, delta_s, grids)
+        runs = _density_chunks(state, delta_s, grids)
     except ValueError as exc:
         # The state and delta_s are checked above; this is the size budget.
         raise UsageError(str(exc)) from None
     config = {"state": state_name, "delta_s": delta_s}
     config.update((key, f"{grid.lo}:{grid.hi}:{grid.step}") for key, grid in zip(("grid", "grid_b"), grids))
-    _write(_density_text(args.format, args.command, config, grids, chunks, columns), args.out)
+    _write(_density_text(args.format, args.command, config, grids, runs, columns), args.out)
     return 0
 
 

@@ -7,12 +7,12 @@ is represented by the Gaussian operator
 
 followed by a projective readout of s2. ``outcome_density`` samples the
 joint density on one uniform pointer grid per photon, for 1 to 3 photons;
-quadrature is the plain step-weighted sum over grid points.
-A density is one product, which the CLI streams in runs of first-arm points.
-Every density, rebuild, deconvolution and completeness grid must fit a size
-budget (at most 2**24 cells and 1342177 points per grid), and a density's
-peak (delta_s sqrt(2 pi))**-arms must be a finite float, or ``ValueError``
-is raised before anything grid-sized is allocated.
+quadrature is the plain step-weighted sum over grid points. A density is one
+product; the CLI streams it in runs of at most ``_RUN_ROWS`` rows. Every
+density, rebuild, deconvolution and completeness grid must fit a size budget
+(2**24 cells, 1342177 points per grid and, for a density, the later arms'
+kernels), and a density's peak (delta_s sqrt(2 pi))**-arms must be a finite
+float, or ``ValueError`` is raised before anything grid-sized is allocated.
 The infinite-resolution limit is represented by ``math.inf`` (exported as
 ``LIMIT``) and is only meaningful for the quasi-probability tables, never for
 density evaluation.
@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from itertools import product
+from itertools import product, starmap
 
 import numpy as np
 
@@ -108,11 +108,18 @@ class OutcomeDensity:
 
     ``values`` has one axis per grid followed by the label axis, so the shape
     is (n_points, n_labels) for one photon and (n_a, n_b, n_labels) for a
-    pair.
+    pair. Another shape, or a number of grids outside 1 to 3, raises ``ValueError``.
     """
 
     grids: tuple[PointerGrid, ...]
     values: np.ndarray
+
+    def __post_init__(self):
+        if not 1 <= len(self.grids) <= _MAX_ARMS:
+            raise ValueError(f"densities of 1 to {_MAX_ARMS} photons are supported, got {len(self.grids)} grid(s)")
+        shape = (*(grid.count for grid in self.grids), 2 ** len(self.grids))
+        if self.values.shape != shape:
+            raise ValueError(f"density values of shape {self.values.shape} do not match its grids and labels {shape}")
 
     @property
     def labels(self) -> tuple:
@@ -194,30 +201,30 @@ def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.
         return np.exp(-scale * z * z)
 
 
-# A caller that streams a density takes it in runs of first-arm points of at
-# most _CHUNK_CELLS cells each, so that it holds the values of one run (8 bytes
-# per cell), not of the whole grid.
-_CHUNK_CELLS = 2**18
+# A caller that streams a density takes it in runs of at most _RUN_ROWS rows (a
+# row is one grid point of each arm, with one value per label), and holds one
+# run's values and text, not the grid's: the CLI writes one block per run.
+_RUN_ROWS = 1024
 
 # The memory budget of one density, checked before anything grid-sized is
 # allocated. Measured costs: a density or a rebuild holds 8 bytes per cell, and
 # a caller that holds a second grid-sized array 16, as `weakpol check` does
 # when it compares a rebuild with the density; each arm takes up to 200 bytes
-# per grid point when the CLI writes it (its Gaussian factors, its coordinate
-# text and, for an arm after the first, its share of a one-point run).
+# per grid point when the CLI writes it (its Gaussian factors and coordinate
+# text); the kernel arrays of the arms after the first take 180 bytes per cell
+# of their grids and labels (B_e and the three terms made from it).
 _BUDGET_BYTES = 2**28
 _CELL_BYTES = 16
 _POINT_BYTES = 200
+_LATER_CELL_BYTES = 180
 
 
 def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
     """Each grid's points, once O(1) checks show that a density on ``grids`` fits the size budget and the float range.
 
-    Else, and for more than ``_MAX_ARMS`` grids, ``ValueError``, before anything grid-sized is allocated. A density's
-    sheets sum to at most (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
+    Else ``ValueError``, before anything grid-sized is allocated. A density's sheets sum to at most
+    (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
     """
-    if not 1 <= len(grids) <= _MAX_ARMS:
-        raise ValueError(f"densities of 1 to {_MAX_ARMS} photons are supported, got {len(grids)} grid(s)")
     counts = [grid.count for grid in grids]
     cells = math.prod(counts) * 2 ** len(grids)
     if cells * _CELL_BYTES > _BUDGET_BYTES or max(counts) * _POINT_BYTES > _BUDGET_BYTES:
@@ -231,7 +238,7 @@ def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
     return [grid.points() for grid in grids]
 
 
-def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], cells=_CHUNK_CELLS) -> Iterator[np.ndarray]:
+def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=_RUN_ROWS) -> Iterator[np.ndarray]:
     """|<s2 sheet| K(m_a) K(m_b) ... |state>|^2 through the spectral form of each arm's kernel.
 
     With the other arms' kernels applied to the amplitudes of s1 = e on the
@@ -244,31 +251,37 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], cells
 
     The state, ``delta_s``, the size budget and the float range are checked
     when this is called, and raise ``ValueError``. The values then come in
-    consecutive runs of first-arm points, each of shape (run length, other
-    grid counts..., labels), of at most ``cells`` cells but never less than
-    one point; ``cells=None`` gives the whole density as one run.
+    runs of consecutive rows (C order, shape (run length, labels)): whole
+    first-arm points while one point fits in ``rows``, else slices of
+    ``rows`` rows of one point; ``rows=None`` gives one run.
     """
     amplitudes = _amplitudes(state, len(grids))
     delta_s = validate_resolution(delta_s)
+    # Cells per first-arm point: the other arms' grid points times the labels.
+    labels = amplitudes.shape[-1]
+    width = math.prod(grid.count for grid in grids[1:]) * labels
+    if width * _LATER_CELL_BYTES > _BUDGET_BYTES:
+        limit = _BUDGET_BYTES // _LATER_CELL_BYTES
+        raise ValueError(f"a density of {width} cells per first-arm point is over the size budget of {limit} per point")
     # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4).
     norm = math.sqrt(delta_s * _ROOT_TWO_PI)
     first, *rest = [_gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) / norm for m in _grid_points(grids, delta_s)]
     # With the first arm's axis moved last, the other arms' kernels apply to the leading axes: branches[e, j] is B_e
     # at cell j of the other arms' grids and sheets.
-    applied = _contract_arms(rest, np.moveaxis(amplitudes, 0, -1))
-    shape, branches = applied.shape[:-1], applied.reshape(-1, 2).T
+    branches = _contract_arms(rest, np.moveaxis(amplitudes, 0, -1)).reshape(-1, 2).T
     # Rows |B_-|^2, 2 Re(B_- conj B_+), |B_+|^2.
     terms = (branches[[0, 0, 1]] * branches[[0, 1, 1]].conj()).real * [[1.0], [2.0], [1.0]]
     # Rows [g_-^2, g_- g_+, g_+^2], one per first-arm point.
     coefficients = first[:, [0, 0, 1]] * first[:, [0, 1, 1]]
-    rows = len(first) if cells is None else max(1, cells // terms.shape[1])
+    cells = width * len(first) if rows is None else rows * labels
+    points, step = max(1, cells // width), min(cells, width)
 
-    def run(start: int) -> np.ndarray:
-        # einsum without optimize, not BLAS: the bits of a row must not depend on how many rows come with it.
-        values = np.einsum("ik,kj->ij", coefficients[start : start + rows], terms)
-        return np.maximum(values, 0.0, out=values).reshape(-1, *shape)
+    def run(start: int, column: int) -> np.ndarray:
+        # einsum without optimize, not BLAS: the bits of a value must not depend on how the density is cut.
+        values = np.einsum("ik,kj->ij", coefficients[start : start + points], terms[:, column : column + step])
+        return np.maximum(values, 0.0, out=values).reshape(-1, labels)
 
-    return map(run, range(0, len(first), rows))
+    return starmap(run, product(range(0, len(first), points), range(0, width, step)))
 
 
 def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensity:
@@ -282,7 +295,7 @@ def outcome_density(state, delta_s: float, *grids: PointerGrid) -> OutcomeDensit
     their final array, 8 bytes per cell, and little else is allocated.
     """
     (values,) = _density_chunks(state, delta_s, grids, None)
-    return OutcomeDensity(grids=grids, values=values)
+    return OutcomeDensity(grids=grids, values=values.reshape(*(grid.count for grid in grids), -1))
 
 
 # The old single/pair names, kept until the benchmark harness in bench/ uses the new one.

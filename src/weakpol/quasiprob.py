@@ -221,14 +221,11 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     the pair case), solved arm by arm: the pseudo-inverse of the Kronecker
     product of the arms' designs is the product of their pseudo-inverses.
     Acts as the independent oracle for the analytic tables. Raises
-    ``ValueError`` over the size budget, where the values do not have the
-    shape of the grids and labels, or where a value is NaN or infinite.
+    ``ValueError`` over the size budget, or where a value is NaN or infinite;
+    an ``OutcomeDensity`` has the shape of its grids and labels.
     """
     delta_s = validate_resolution(delta_s)
     points = _grid_points(density.grids, delta_s)
-    shape = (*map(len, points), len(density.labels))
-    if density.values.shape != shape:
-        raise ValueError(f"density values of shape {density.values.shape} do not match its grids and labels {shape}")
     for grid in density.grids:
         _check_grid_coverage(grid, delta_s)
 

@@ -123,27 +123,33 @@ class TestPairCommand:
 
 
 class TestChunkedDensityOutput:
-    """Densities on either side of the one-run limit (2**18 cells) print the library's one-product values exactly."""
+    """Densities in one run of at most _RUN_ROWS (1024) rows, and in many, print the library's one-product values."""
 
     @pytest.mark.parametrize(
-        "grids,fmt,chunked",
+        "grids,fmt,runs",
         [
-            ((PointerGrid(-2, 2, 4 / 255), PointerGrid(-2, 2, 4 / 255)), "csv", False),
-            ((PointerGrid(-2, 2, 4 / 255), PointerGrid(-2, 2, 4 / 256)), "json", True),
-            ((PointerGrid(-14, 14, 28 / 2048), PointerGrid(-3, 3, 6 / 31)), "csv", True),
-            ((PointerGrid(-3, 3, 6 / 99), PointerGrid(-14, 14, 28 / 654)), "json", False),
-            ((PointerGrid(-6, 6, 12 / 2**17),), "csv", True),
-            ((PointerGrid(-6, 6, 12 / 2**17),), "json", True),
+            # Runs of whole first-arm points: 4 of 256 rows, 3 of 257, 32 of 32 and 1 of 655.
+            ((PointerGrid(-2, 2, 4 / 255), PointerGrid(-2, 2, 4 / 255)), "csv", 64),
+            ((PointerGrid(-2, 2, 4 / 255), PointerGrid(-2, 2, 4 / 256)), "json", 86),
+            ((PointerGrid(-14, 14, 28 / 2048), PointerGrid(-3, 3, 6 / 31)), "csv", 65),
+            ((PointerGrid(-3, 3, 6 / 99), PointerGrid(-14, 14, 28 / 654)), "json", 100),
+            # 131073 rows in runs of 1024 leave a last run of one row.
+            ((PointerGrid(-6, 6, 12 / 2**17),), "csv", 129),
+            ((PointerGrid(-6, 6, 12 / 2**17),), "json", 129),
+            ((PointerGrid(-2, 2, 4 / 31), PointerGrid(-2, 2, 4 / 31)), "csv", 1),
+            # Each first-arm point has 1025 rows: runs of 1024 rows and of 1.
+            ((PointerGrid(-2, 2, 4), PointerGrid(-2, 2, 4 / 1024)), "json", 4),
         ],
-        ids=["pair-256x256", "pair-256x257", "pair-2049x32", "pair-100x655", "single-131073-csv", "single-131073-json"],
+        ids=[
+            "pair-256x256", "pair-256x257", "pair-2049x32", "pair-100x655", "single-131073-csv", "single-131073-json",
+            "pair-32x32", "pair-2x1025",
+        ],
     )
-    def test_output_parses_to_library_values(self, capsys, grids, fmt, chunked):
+    def test_output_parses_to_library_values(self, capsys, grids, fmt, runs):
         state, delta_s = (stokes_eigenstate(2, +1), 0.6) if len(grids) == 1 else (bell_state(), 2.0)
         expected = outcome_density(state, delta_s, *grids)
-        cells = expected.values.size
-        assert (cells > measurement._CHUNK_CELLS) == chunked and abs(cells - measurement._CHUNK_CELLS) <= 2**10
-        runs = sum(1 for _ in measurement._density_chunks(state, delta_s, grids))
-        assert (runs > 1) == chunked
+        lengths = [len(run) for run in measurement._density_chunks(state, delta_s, grids)]
+        assert len(lengths) == runs and max(lengths) <= measurement._RUN_ROWS
 
         argv = ["pair" if len(grids) == 2 else "single", "--delta-s", repr(delta_s), "--format", fmt]
         for option, grid in zip(("--grid", "--grid-b"), grids):
@@ -157,7 +163,6 @@ class TestChunkedDensityOutput:
         coordinates = np.meshgrid(*(grid.points() for grid in grids), indexing="ij")
         assert np.array_equal(rows[:, : len(grids)], np.stack([c.ravel() for c in coordinates], axis=1))
         assert np.array_equal(rows[:, len(grids) :], expected.values.reshape(-1, expected.values.shape[-1]))
-
 
     def test_each_chunk_is_dropped_before_the_next_is_computed(self):
         held = []
@@ -409,12 +414,17 @@ class TestErrorsAndExitCodes:
             ["single", "--grid=-7.5:7.5:1e-5"],
             ["pair", "--grid=-14:14:1e-4"],
             ["pair", "--grid-b=-14:14:1e-5"],
+            ["pair", "--grid", "0:1:1", "--grid-b=-14:14:2.1e-5"],
         ],
-        ids=["single-280M-points", "single-1.5M-points", "pair-280k-points-per-arm", "pair-2.8M-points-in-arm-b"],
+        ids=[
+            "single-280M-points", "single-1.5M-points", "pair-280k-points-per-arm", "pair-2.8M-points-in-arm-b",
+            "pair-2x1.3M-points",
+        ],
     )
     def test_density_over_the_size_budget_is_usage_error(self, capsys, tmp_path, argv):
         # -14:14:1e-7 is 280M points: about 2 GiB of factors before the budget check existed.
         # -7.5:7.5:1e-5 is 1.5M points, 3M cells: over the points budget only.
+        # 0:1:1 by -14:14:2.1e-5 is 10.7M cells, but arm b's kernel arrays would take 960 MB.
         target = tmp_path / "out.csv"
         tracemalloc.start()
         try:

@@ -68,6 +68,21 @@ class TestOutcomeDensityLabels:
         with pytest.raises(KeyError, match="unknown outcome label 0"):
             density.sheet(0)
 
+    @pytest.mark.parametrize(
+        "grids,shape,message",
+        [
+            ((PointerGrid(-8, 8, 1e-3),), (3, 2), r"\(3, 2\).*\(16001, 2\)"),
+            ((PointerGrid(-1, 1, 1),) * 2, (3, 3, 2), r"\(3, 3, 2\).*\(3, 3, 4\)"),
+            ((PointerGrid(-1, 1, 1),) * 2, (9, 4), r"\(9, 4\).*\(3, 3, 4\)"),
+            ((), (1,), "1 to 3 photons"),
+            ((PointerGrid(-1, 1, 1),) * 4, (3, 3, 3, 3, 16), "1 to 3 photons"),
+        ],
+        ids=["single-3-of-16001-points", "pair-2-labels", "pair-flat", "no-grids", "four-grids"],
+    )
+    def test_values_of_another_shape_or_arm_count_are_refused(self, grids, shape, message):
+        with pytest.raises(ValueError, match=message):
+            OutcomeDensity(grids, np.zeros(shape))
+
 
 class TestMeasurementKernel:
     """The tests' point-by-point reference for P(m): ``conftest.kernel``."""
@@ -317,25 +332,26 @@ class TestContractArms:
 
 class TestDensityChunks:
     @staticmethod
-    def drain_peak(points):
-        grid = PointerGrid(-14, 14, 28 / (points - 1))
+    def drain_peak(points_a, points_b):
+        grid_a, grid_b = PointerGrid(-14, 14, 28 / (points_a - 1)), PointerGrid(-14, 14, 28 / (points_b - 1))
         tracemalloc.start()
         try:
-            for _ in measurement._density_chunks(bell_state(), 2.0, (grid, grid)):
+            for _ in measurement._density_chunks(bell_state(), 2.0, (grid_a, grid_b)):
                 pass
             return tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
 
     def test_draining_the_chunks_holds_a_few_chunks_at_any_grid_size(self):
-        # 16 bytes per cell: a chunk's 8-byte values and the previous chunk's, which the loop holds meanwhile.
-        chunk_bytes = 16 * measurement._CHUNK_CELLS
-        small, large = self.drain_peak(801), self.drain_peak(1501)
-        assert large < 3 * chunk_bytes
-        assert large < 1.1 * small
+        # A run of 1024 rows takes 32 KB; arm b's kernel arrays about 180 bytes per cell of its grid and labels, 1.1 MB
+        # at 1501 points. Neither grows with arm a's grid.
+        small = self.drain_peak(801, 801)
+        assert self.drain_peak(1501, 1501) < 2**21
+        assert self.drain_peak(1501, 801) < 1.1 * small
 
     def test_draining_the_default_pair_chunks_holds_one_chunk_of_real_values(self):
-        # The default `weakpol pair`: 561x561 points, 4 sheets, in chunks of 8-byte values and nothing grid-sized.
+        # The default `weakpol pair`: 561x561 points, 4 sheets, in runs of 8-byte values (32 KB), and arm b's kernel
+        # arrays (about 180 bytes for each of its 561 x 4 cells, 404 KB), and nothing grid-sized.
         grid = PointerGrid(-14, 14, 0.05)
         tracemalloc.start()
         try:
@@ -344,7 +360,7 @@ class TestDensityChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 1.5 * 8 * measurement._CHUNK_CELLS
+        assert peak < 2**19
 
     @staticmethod
     def density_peak(points):
@@ -362,28 +378,59 @@ class TestDensityChunks:
         assert self.density_peak(401) < 1.25
 
     def test_a_density_of_many_chunks_allocates_little_beyond_its_values(self):
-        # The size of the default `weakpol pair` density, 561x561 points: the CLI takes it in 5 runs, the library in one.
+        # The default `weakpol pair` density, 561x561 points: the CLI takes it in 561 runs, the library in one.
         assert self.density_peak(561) < 1.25
 
     def test_chunks_are_runs_of_first_arm_points_within_the_chunk_size(self):
-        grid_a, grid_b = PointerGrid(-14, 14, 0.05), PointerGrid(-3, 3, 0.01)
-        chunks = list(measurement._density_chunks(bell_state(), 2.0, (grid_a, grid_b)))
-        assert len(chunks) > 1 and all(chunk.size <= measurement._CHUNK_CELLS for chunk in chunks)
-        assert {chunk.shape[1:] for chunk in chunks} == {(601, 4)}
-        assert sum(len(chunk) for chunk in chunks) == 561
+        cases = [
+            # 601 rows per first-arm point: one point per run.
+            (PointerGrid(-14, 14, 0.05), PointerGrid(-3, 3, 0.01), [601] * 561),
+            # 5 rows per point: runs of 204 points, and the 153 left.
+            (PointerGrid(-14, 14, 0.05), PointerGrid(-1, 1, 0.5), [1020, 1020, 765]),
+            # 3001 rows per point: each point in runs of 1024, 1024 and 953 rows.
+            (PointerGrid(-1, 1, 1), PointerGrid(-3, 3, 0.002), [1024, 1024, 953] * 3),
+        ]
+        assert measurement._RUN_ROWS == 1024
+        for grid_a, grid_b, lengths in cases:
+            chunks = measurement._density_chunks(bell_state(), 2.0, (grid_a, grid_b))
+            assert [chunk.shape for chunk in chunks] == [(length, 4) for length in lengths]
 
     @pytest.mark.parametrize("arms,points", [(1, 2**19 + 1), (2, 513), (3, 41)])
     def test_chunks_equal_the_density_in_one_piece(self, rng, arms, points):
-        # 2**19 + 1 points of one arm in runs of 131072 leave a last run of one point.
+        # 2**19 + 1 points of one arm in runs of 1024 rows leave a last run of one row; a three-photon point of 41x41
+        # rows comes in runs of 1024 and 657 rows.
         grids = (PointerGrid(-6, 6, 12 / (points - 1)),) * arms
         state = [stokes_eigenstate(2, +1), bell_state(), random_pure_state(rng, 8)][arms - 1]
         chunks = list(measurement._density_chunks(state, 0.6, grids))
-        assert len(chunks) > 1 and np.array_equal(np.concatenate(chunks), outcome_density(state, 0.6, *grids).values)
+        expected = outcome_density(state, 0.6, *grids).values
+        assert len(chunks) > 1 and np.array_equal(np.concatenate(chunks), expected.reshape(-1, 2**arms))
 
     def test_a_lone_chunk_is_the_density(self, monkeypatch):
         chunk = np.ones((3, 2))
         monkeypatch.setattr(measurement, "_density_chunks", lambda *args: iter([chunk]))
-        assert outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-1, 1, 1)).values is chunk
+        # A view of the lone run, not a copy.
+        assert outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-1, 1, 1)).values.base is chunk
+
+    @pytest.mark.parametrize(
+        "counts",
+        [(2, 1333334), (2, 1000, 1000)],
+        ids=["pair-2x1333334", "three-2x1000x1000"],
+    )
+    def test_kernel_arrays_over_the_size_budget_raise_before_allocating(self, rng, counts):
+        # 10.7M and 16M cells, under the budget of 2**24 cells, but the kernel arrays of the arms after the first would
+        # take about 180 bytes per cell of their grids and labels: 960 MB and 1.4 GB.
+        grids = [PointerGrid(0, count - 1, 1) for count in counts]
+        assert [grid.count for grid in grids] == list(counts)
+        state = random_pure_state(rng, 2 ** len(counts))
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="over the size budget"):
+                outcome_density(state, 2.0, *grids)
+            with pytest.raises(ValueError, match="over the size budget"):
+                measurement._density_chunks(state, 2.0, grids)
+            assert tracemalloc.get_traced_memory()[1] < 2**20
+        finally:
+            tracemalloc.stop()
 
     @pytest.mark.parametrize("grid", [PointerGrid(-14, 14, 1e-7), PointerGrid(-14, 14, 0.005)])
     def test_over_the_size_budget_raises_before_allocating(self, grid):
@@ -404,13 +451,13 @@ class TestDensityChunks:
             tracemalloc.stop()
 
     def test_deconvolution_and_rebuild_check_their_grids_before_allocating(self):
-        def deconvolve_three_points_on(grid):
-            return deconvolve(OutcomeDensity((grid,), np.zeros((3, 2))), 1.0)
+        def deconvolve_zeros_on(grid):
+            # Every value a view of one zero, so that the density allocates nothing.
+            return deconvolve(OutcomeDensity((grid,), np.broadcast_to(0.0, (grid.count, 2))), 1.0)
 
         calls = [
             # 1600001 points: over the budget of points per grid.
-            (lambda: deconvolve_three_points_on(PointerGrid(-8, 8, 1e-5)), "over the size budget"),
-            (lambda: deconvolve_three_points_on(PointerGrid(-8, 8, 1e-3)), r"\(3, 2\).*\(16001, 2\)"),
+            (lambda: deconvolve_zeros_on(PointerGrid(-8, 8, 1e-5)), "over the size budget"),
             # Seven photons: the table keys alone would take 132 MiB.
             (lambda: reconstruct_density(QuasiProbTable({}, 1.0, 7), *[PointerGrid(0, 1, 1)] * 7), "1 to 3 photons"),
         ]

@@ -85,9 +85,14 @@ def each_source(expected):
     return dict.fromkeys(TOKEN_SOURCES, expected)
 
 
+def rows_of(density):
+    """The values of ``density`` as rows, one per grid point of each arm, as the CLI takes them."""
+    return density.values.reshape(-1, len(density.labels))
+
+
 def streamed_text(fmt, command, config, density, columns, runs=1):
-    """The CLI's text of ``density``, fed to it in ``runs`` chunks of first-arm points."""
-    chunks = np.array_split(density.values, runs)
+    """The CLI's text of ``density``, fed to it in ``runs`` runs of consecutive rows."""
+    chunks = np.array_split(rows_of(density), runs)
     return "".join(cli._density_text(fmt, command, config, density.grids, chunks, columns))
 
 
@@ -140,7 +145,7 @@ def special_values(shape):
 def test_special_values_single(tmp_path, monkeypatch, fmt):
     grid = PointerGrid(-1.0, 1.0, 0.5)
     density = OutcomeDensity((grid,), special_values((grid.count, 2)))
-    monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(density.values, 2)))
+    monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(rows_of(density), 2)))
     data = on_each_token_source(lambda: run_to_file(tmp_path, "single", "--grid", "-1:1:0.5", "--format", fmt))
     config = {"state": "y+", "delta_s": 0.6, "grid": "-1.0:1.0:0.5"}
     expected = reference_text(fmt, "single", config, density, SINGLE_COLUMNS)
@@ -152,7 +157,7 @@ def test_special_values_single(tmp_path, monkeypatch, fmt):
 def test_special_values_pair(tmp_path, monkeypatch, fmt):
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 1.0), PointerGrid(0.0, 0.5, 0.25)
     density = OutcomeDensity((grid_a, grid_b), special_values((grid_a.count, grid_b.count, 4)))
-    monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(density.values, 2)))
+    monkeypatch.setattr(cli, "_density_chunks", lambda *args: iter(np.array_split(rows_of(density), 2)))
     argv = ["pair", "--grid", "-1:1:1", "--grid-b", "0:0.5:0.25", "--format", fmt]
     data = on_each_token_source(lambda: run_to_file(tmp_path, *argv))
     config = {"state": "bell", "delta_s": 2.0, "grid": "-1.0:1.0:1.0", "grid_b": "0.0:0.5:0.25"}
@@ -170,8 +175,7 @@ def small_grid():
 @st.composite
 def densities(draw):
     grid_list = tuple(draw(st.lists(small_grid(), min_size=1, max_size=2)))
-    sheets = len(OutcomeDensity(grid_list, np.empty(0)).labels)
-    shape = tuple(grid.count for grid in grid_list) + (sheets,)
+    shape = tuple(grid.count for grid in grid_list) + (2 ** len(grid_list),)
     values = draw(arrays(np.float64, shape, elements=st.floats(allow_nan=True, allow_infinity=True)))
     return OutcomeDensity(grid_list, values)
 
@@ -182,21 +186,28 @@ def test_streamed_text_matches_reference_for_any_values(density, fmt, data):
     columns = SINGLE_COLUMNS if len(density.grids) == 1 else PAIR_COLUMNS
     # A config string that dumps exactly like the rows placeholder of the streamer.
     config = {"state": "\0rows", "delta_s": 0.5}
-    runs = data.draw(st.integers(1, density.grids[0].count), label="runs")
+    runs = data.draw(st.integers(1, len(rows_of(density))), label="runs")
     outputs = on_each_token_source(lambda: streamed_text(fmt, "x", config, density, columns, runs))
     assert outputs == each_source(reference_text(fmt, "x", config, density, columns))
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_streamed_text_spans_several_blocks(monkeypatch, fmt):
-    # 15 rows in blocks of 4: three full blocks and a short last one.
-    monkeypatch.setattr(cli, "_BLOCK_ROWS", 4)
+def test_streamed_text_spans_several_blocks(fmt):
+    # 15 rows, 3 per arm-a point, in runs of 1, 3, 7 and 4 rows: one block per run, runs that start and end inside
+    # a point and span several, and runs longer than the first.
     grid_a, grid_b = PointerGrid(-1.0, 1.0, 0.5), PointerGrid(0.0, 1.0, 0.5)
     density = outcome_density(bell_state(), 0.7, grid_a, grid_b)
     config = {"state": "bell", "delta_s": 0.7}
-    # Runs of 2, 2 and 1 arm-a points: blocks end with each chunk, as well as every 4 rows.
-    outputs = on_each_token_source(lambda: streamed_text(fmt, "pair", config, density, PAIR_COLUMNS, runs=3))
-    assert outputs == each_source(reference_text(fmt, "pair", config, density, PAIR_COLUMNS))
+    runs = np.split(rows_of(density), [1, 4, 11])
+
+    def streamed():
+        return list(cli._density_text(fmt, "pair", config, density.grids, runs, PAIR_COLUMNS))
+
+    outputs = on_each_token_source(streamed)
+    expected = reference_text(fmt, "pair", config, density, PAIR_COLUMNS)
+    # The head, one block per run, the trail, and for JSON the tail.
+    assert {len(parts) for parts in outputs.values()} == {len(runs) + (2 if fmt == "csv" else 3)}
+    assert {source: "".join(parts) for source, parts in outputs.items()} == each_source(expected)
 
 
 @pytest.mark.skipif(not HAVE_ORJSON, reason="orjson is not installed")
