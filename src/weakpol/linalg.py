@@ -18,13 +18,6 @@ def as_vector(v) -> np.ndarray:
     return arr
 
 
-def as_matrix(m) -> np.ndarray:
-    arr = np.asarray(m, dtype=complex)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        raise ValueError(f"expected a square complex matrix, got shape {arr.shape}")
-    return arr
-
-
 def require_normalized(v) -> np.ndarray:
     arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
@@ -37,11 +30,14 @@ def expectation(state, m) -> float:
     """Expectation value of a matrix in a normalized pure state.
 
     The imaginary part of the quadratic form must vanish to within 1e-12
-    (true for Hermitian ``m``); the real part is returned. A NaN or infinite
-    entry of ``m`` raises ``ValueError``.
+    (true for Hermitian ``m``); the real part is returned. An ``m`` that is
+    not a nonempty square matrix, or has a NaN or infinite entry, raises
+    ``ValueError``.
     """
     psi = require_normalized(state)
-    arr = as_matrix(m)
+    arr = np.asarray(m, dtype=complex)
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+        raise ValueError(f"expected a square complex matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError("matrix entries must be finite, without NaN or inf")
     if arr.shape[0] != psi.size:

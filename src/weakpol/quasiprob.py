@@ -67,6 +67,12 @@ def _keys(arms: int) -> tuple[tuple, tuple]:
     return tensor, _TABLE_KEYS[arms - 1] if arms <= len(_TABLE_KEYS) else tensor
 
 
+@cache
+def _pair_k_values() -> dict:
+    """The CHSH combination of each pair table key."""
+    return {(label_a, label_b): chsh_combination(*label_a, *label_b) for label_a, label_b in _keys(2)[0]}
+
+
 class IllConditionedDesignError(ValueError):
     """Deconvolution design matrix too close to singular to invert reliably."""
 
@@ -149,9 +155,10 @@ def _center_map(delta_s: float) -> np.ndarray:
     """C[c, (e, e')]: 1 where s1 center c is the midpoint of eigenvalues e, e'.
 
     The cross pairs e != e' carry the damping exp(-1/(2 delta_s^2)), 1 at inf.
+    Complex, like the products it is applied to, so that no product casts it.
     """
     damping = math.exp(-0.5 / (delta_s * delta_s))
-    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, damping, damping, 0.0], [0.0, 0.0, 0.0, 1.0]])
+    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, damping, damping, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
 
 
 def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
@@ -248,6 +255,8 @@ def k_distribution(table: QuasiProbTable) -> KDistribution:
     if table.arms != 2:
         raise ValueError("the CHSH distribution is defined for pair tables only")
     weights = {k: 0.0 for k in K_VALUES}
-    for (label_a, label_b), weight in table.entries.items():
-        weights[chsh_combination(*label_a, *label_b)] += weight
+    k_of = _pair_k_values()
+    # One running sum per K value, in entry order.
+    for key, weight in table.entries.items():
+        weights[k_of[key]] += weight
     return KDistribution(weights=weights)

@@ -34,6 +34,21 @@ def kernel(target, delta_s: float, m: float) -> np.ndarray:
     return spectral(target, lambda x: math.exp(-(((x - m) / delta_s) ** 2) / 4) / norm)
 
 
+def cell_volume(grids) -> float:
+    return math.prod(grid.step for grid in grids)
+
+
+def integrate(values: np.ndarray, grids) -> float:
+    """Quadrature of a density's values over all its grids, summed over labels."""
+    return float(np.sum(values)) * cell_volume(grids)
+
+
+def peak_location(sheet: np.ndarray, grids) -> tuple[float, ...]:
+    """Grid coordinates of the maximum of one density sheet."""
+    index = np.unravel_index(int(np.argmax(sheet)), sheet.shape)
+    return tuple(float(grid.points()[i]) for grid, i in zip(grids, index))
+
+
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)

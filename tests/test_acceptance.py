@@ -34,7 +34,7 @@ from weakpol.quasiprob import (
     reconstruct_density,
 )
 
-from conftest import random_pure_state
+from conftest import peak_location, random_pure_state
 
 ROOT_TWO = math.sqrt(2.0)
 
@@ -218,16 +218,16 @@ def test_criterion_07_coincidence_peak_geometry():
     grid = PointerGrid(-14, 14, 0.05)
     density = outcome_density(bell_state(), 2.0, grid, grid)
 
-    peak_pm = density.peak_location((1, -1))
-    peak_mp = density.peak_location((-1, 1))
+    peak_pm = peak_location(density.sheet((1, -1)), density.grids)
+    peak_mp = peak_location(density.sheet((-1, 1)), density.grids)
     anti_ok = all(abs(abs(m) - ROOT_TWO) <= 0.05 for m in (*peak_pm, *peak_mp))
     pattern_ok = min(peak_pm) > 0 and max(peak_mp) < 0
 
     # Correlated sheets stay inside the eigenvalue range, displaced toward
     # the corners where the CHSH value is +2: ( -1, +1 ) for s2a=s2b=+1 and
     # ( +1, -1 ) for s2a=s2b=-1.
-    peak_pp = density.peak_location((1, 1))
-    peak_mm = density.peak_location((-1, -1))
+    peak_pp = peak_location(density.sheet((1, 1)), density.grids)
+    peak_mm = peak_location(density.sheet((-1, -1)), density.grids)
     correlated_ok = (
         all(abs(m) <= 1.0 + 0.05 for m in (*peak_pp, *peak_mm))
         and peak_pp[0] < 0 < peak_pp[1]

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weakpol.linalg import (
-    as_matrix,
     as_vector,
     expectation,
     require_normalized,
@@ -61,7 +60,7 @@ class TestShapesRejected:
 
     def test_as_matrix_needs_a_square_array(self):
         with pytest.raises(ValueError, match=r"square complex matrix, got shape \(2, 3\)"):
-            as_matrix(np.zeros((2, 3)))
+            expectation([1.0, 0.0], np.zeros((2, 3)))
 
 
 class TestNanInputsRejected:

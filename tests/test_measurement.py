@@ -22,7 +22,7 @@ from weakpol.measurement import (
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import QuasiProbTable, deconvolve, quasiprob_table, reconstruct_density
 
-from conftest import kernel, random_pure_state, spectral
+from conftest import integrate, kernel, peak_location, random_pure_state, spectral
 
 
 class TestPointerGrid:
@@ -82,6 +82,24 @@ class TestOutcomeDensityLabels:
     def test_values_of_another_shape_or_arm_count_are_refused(self, grids, shape, message):
         with pytest.raises(ValueError, match=message):
             OutcomeDensity(grids, np.zeros(shape))
+
+    @pytest.mark.parametrize(
+        "values,kind",
+        [
+            ([[0.0, 0.0]] * 3, "list"),
+            (np.zeros((3, 2), dtype=complex), "complex128"),
+            (np.zeros((3, 2), dtype=object), "object"),
+        ],
+        ids=["list", "complex", "object"],
+    )
+    def test_values_that_are_not_a_real_numeric_array_are_refused(self, values, kind):
+        with pytest.raises(ValueError, match=f"must be a real numeric array, got {kind}"):
+            OutcomeDensity((PointerGrid(-1, 1, 1),), values)
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32, np.float32, np.float64])
+    def test_integer_and_float_values_are_kept(self, dtype):
+        values = np.ones((3, 2), dtype=dtype)
+        assert OutcomeDensity((PointerGrid(-1, 1, 1),), values).values is values
 
 
 class TestMeasurementKernel:
@@ -162,7 +180,7 @@ class TestSingleOutcomeDensity:
 
     def test_normalization(self):
         density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
-        assert density.integrate() == pytest.approx(1.0, abs=1e-6)
+        assert integrate(density.values, density.grids) == pytest.approx(1.0, abs=1e-6)
 
     def test_back_action_populates_other_outcome(self):
         density = outcome_density(stokes_eigenstate(2, +1), 0.6, PointerGrid(-6, 6, 0.01))
@@ -223,13 +241,13 @@ class TestCoincidenceDensity:
 
     def test_anticorrelated_sheet_peaks_beyond_eigenvalues(self, bell_density):
         root_two = math.sqrt(2.0)
-        ma, mb = bell_density.peak_location((1, -1))
+        ma, mb = peak_location(bell_density.sheet((1, -1)), bell_density.grids)
         assert abs(ma - root_two) <= 0.05 and abs(mb - root_two) <= 0.05
-        ma, mb = bell_density.peak_location((-1, 1))
+        ma, mb = peak_location(bell_density.sheet((-1, 1)), bell_density.grids)
         assert abs(ma + root_two) <= 0.05 and abs(mb + root_two) <= 0.05
 
     def test_total_normalization(self, bell_density):
-        assert bell_density.integrate() == pytest.approx(1.0, abs=1e-4)
+        assert integrate(bell_density.values, bell_density.grids) == pytest.approx(1.0, abs=1e-4)
 
     def test_point_reflection_symmetry_between_correlated_sheets(self, bell_density):
         sheet_pp = bell_density.sheet((1, 1))
@@ -290,7 +308,7 @@ class TestContractArms:
         return np.einsum(*operands, weights, [*range(arms), ...], [*range(arms, 2 * arms), ...])
 
     # (rows, columns) per arm: matrices that grow the array, shrink it, or both; a first matrix of one row is the
-    # CLI's one-point chunk.
+    # CLI's one-point chunk, and leading arms of one column give a later arm a batch of length 1.
     @pytest.mark.parametrize(
         "shapes",
         [
@@ -306,6 +324,8 @@ class TestContractArms:
             [(3, 7), (3, 6), (3, 5)],
             [(1, 2), (6, 2), (5, 2)],
             [(4, 2), (3, 9), (6, 3)],
+            [(3, 1), (4, 2)],
+            [(2, 1), (5, 1), (3, 2)],
         ],
     )
     @pytest.mark.parametrize("trailing", [(), (4,), (2, 3)])
@@ -316,10 +336,13 @@ class TestContractArms:
         for matrix_type, weight_type in [(float, float), (float, complex), (complex, complex)]:
             matrices = [draw(matrix_type, shape) for shape in shapes]
             weights = draw(weight_type, (*(columns for _, columns in shapes), *trailing))
-            result = measurement._contract_arms(matrices, weights)
-            expected = self.einsum_reference(matrices, weights)
-            assert result.shape == expected.shape
-            np.testing.assert_allclose(result, expected, rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))
+            # A view with the axes reversed is not C-contiguous, like the moved amplitudes a density's later arms take.
+            reversed_view = draw(weight_type, weights.shape[::-1]).T
+            for operand in (weights, reversed_view):
+                result = measurement._contract_arms(matrices, operand)
+                expected = self.einsum_reference(matrices, operand)
+                assert result.shape == expected.shape
+                np.testing.assert_allclose(result, expected, rtol=1e-14, atol=1e-14 * np.max(np.abs(expected)))
 
     @pytest.mark.parametrize("arms", [1, 2, 3])
     def test_densities_and_rebuilds_are_c_contiguous(self, arms):

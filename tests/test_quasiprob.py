@@ -18,7 +18,7 @@ from weakpol.measurement import (
     PointerGrid,
     outcome_density,
 )
-from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
+from weakpol.polarization import bell_state, chsh_combination, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import (
     IllConditionedDesignError,
     PAIR_COLUMN_LABELS,
@@ -318,6 +318,12 @@ class TestDeconvolve:
         with pytest.raises(ValueError, match="finite"):
             deconvolve(OutcomeDensity(density.grids, values), 2.0)
 
+    def test_integer_values_give_the_table_of_their_floats(self):
+        grid = PointerGrid(-8, 8, 0.5)
+        counts = np.arange(2 * grid.count, dtype=np.int64).reshape(-1, 2)
+        integer = deconvolve(OutcomeDensity((grid,), counts), 1.0)
+        assert integer.entries == deconvolve(OutcomeDensity((grid,), counts.astype(float)), 1.0).entries
+
     def test_pair_allocates_little_beyond_its_density(self):
         # The 401x401 density takes 5.1 MB; a transposed copy of it would take as much again, the finiteness mask 0.6 MB.
         grid = PointerGrid(-14, 14, 28 / 400)
@@ -377,6 +383,23 @@ class TestKDistribution:
         table = quasiprob_table(stokes_eigenstate(2, +1), LIMIT)
         with pytest.raises(ValueError, match="pair"):
             k_distribution(table)
+
+    @staticmethod
+    def entry_order_sums(table):
+        """The K weights as one running sum per K value over the table's entries, in their order."""
+        weights = dict.fromkeys(range(-2, 3), 0.0)
+        for (label_a, label_b), weight in table.entries.items():
+            weights[chsh_combination(*label_a, *label_b)] += weight
+        return weights
+
+    @pytest.mark.parametrize("delta_s", [0.3, 1.0, 2.5, LIMIT])
+    def test_weights_are_the_entry_order_sums_bit_for_bit(self, rng, delta_s):
+        for state in (bell_state(), random_pure_state(rng, 4)):
+            table = quasiprob_table(state, delta_s)
+            assert k_distribution(table).weights == self.entry_order_sums(table)
+            keys = list(table.entries)
+            shuffled = QuasiProbTable({keys[i]: table.entries[keys[i]] for i in rng.permutation(len(keys))}, delta_s, 2)
+            assert k_distribution(shuffled).weights == self.entry_order_sums(shuffled)
 
 
 # Three photons in (|RRR> + |LLL>)/sqrt(2), with the Mermin combination
