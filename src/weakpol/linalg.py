@@ -11,15 +11,10 @@ import numpy as np
 NORMALIZATION_TOL = 1e-12
 
 
-def as_vector(v) -> np.ndarray:
+def require_normalized(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty 1-d complex vector, got shape {arr.shape}")
-    return arr
-
-
-def require_normalized(v) -> np.ndarray:
-    arr = as_vector(v)
     norm = float(np.linalg.norm(arr))
     if not abs(norm - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"state vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")

@@ -93,6 +93,9 @@ class PointerGrid:
         # Finite bounds can still be too far apart for (hi - lo)/step to be finite.
         if not math.isfinite((self.hi - self.lo) / self.step):
             raise ValueError(f"grid span (hi - lo)/step must be finite, got {self.lo}:{self.hi}:{self.step}")
+        # A finite span can still give a last point whose step * (count - 1) overflows.
+        if not math.isfinite(self.lo + self.step * (self.count - 1)):
+            raise ValueError(f"grid's last point must be finite, got {self.lo}:{self.hi}:{self.step}")
 
     @property
     def count(self) -> int:
@@ -130,14 +133,12 @@ class OutcomeDensity:
         """One readout label per sheet, as ``_readout_labels`` gives them for the number of grids."""
         return _readout_labels(len(self.grids))
 
-    def label_index(self, label) -> int:
+    def sheet(self, label) -> np.ndarray:
         try:
-            return self.labels.index(label)
+            index = self.labels.index(label)
         except ValueError:
             raise KeyError(f"unknown outcome label {label!r}") from None
-
-    def sheet(self, label) -> np.ndarray:
-        return self.values[..., self.label_index(label)]
+        return self.values[..., index]
 
 
 def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
@@ -168,17 +169,17 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
 _MAX_ARMS = 3
 
 
-def _amplitudes(state, arms: int) -> np.ndarray:
+def _amplitudes(state) -> np.ndarray:
     """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
 
+    The one place that decides a state's photon count, arms, from its 2**arms amplitudes (else ``ValueError``).
     One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over
     the readout sheets in ``_readout_labels(arms)`` order.
     """
     psi = require_normalized(state)
-    if not 1 <= arms <= _MAX_ARMS:
-        raise ValueError(f"states of 1 to {_MAX_ARMS} photons are supported, got {arms} photon(s)")
-    if psi.size != 2**arms:
-        raise ValueError(f"a {arms}-photon state must have dimension {2**arms}, got {psi.size}")
+    arms = psi.size.bit_length() - 1
+    if not (1 <= arms <= _MAX_ARMS and psi.size == 2**arms):
+        raise ValueError(f"states of 1 to {_MAX_ARMS} photons, of dimension 2**photons, are supported, got {psi.size}")
     per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, psi.reshape((2,) * arms))
     # per_arm axes are (e_a, s2a, e_b, s2b, ...); gather the e's first.
     order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2)]
@@ -247,10 +248,12 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=
     first-arm points while one point fits in ``rows``, else slices of
     ``rows`` rows of one point; ``rows=None`` gives one run.
     """
-    amplitudes = _amplitudes(state, len(grids))
+    amplitudes, arms = _amplitudes(state), len(grids)
+    labels = amplitudes.shape[-1]
+    if amplitudes.ndim - 1 != arms:
+        raise ValueError(f"{arms} grid(s) need a state of dimension {2**arms} (1 to {_MAX_ARMS} photons), got {labels}")
     delta_s = validate_resolution(delta_s)
     # Cells per first-arm point: the other arms' grid points times the labels.
-    labels = amplitudes.shape[-1]
     width = math.prod(grid.count for grid in grids[1:]) * labels
     if width * _LATER_CELL_BYTES > _BUDGET_BYTES:
         limit = _BUDGET_BYTES // _LATER_CELL_BYTES

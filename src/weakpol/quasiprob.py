@@ -25,7 +25,6 @@ from itertools import product
 
 import numpy as np
 
-from .linalg import as_vector
 from .measurement import (
     OutcomeDensity,
     PointerGrid,
@@ -144,8 +143,9 @@ class KDistribution:
         return float(sum(k * w for k, w in self.weights.items()))
 
 
-def _table(weights: np.ndarray, delta_s: float, arms: int) -> QuasiProbTable:
+def _table(weights: np.ndarray, delta_s: float) -> QuasiProbTable:
     """Table from weights[c_a, c_b, ..., j]: s1 center index per arm, then readout sheet j."""
+    arms = weights.ndim - 1
     tensor_keys, table_keys = _keys(arms)
     by_key = dict(zip(tensor_keys, weights.ravel().tolist()))
     return QuasiProbTable(entries={key: by_key[key] for key in table_keys}, delta_s=delta_s, arms=arms)
@@ -171,14 +171,14 @@ def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
     arm, s1 = +-1 takes e = e', and the midpoint s1 = 0 takes both cross
     pairs, damped by exp(-1/(2 delta_s^2)) (1 in the limit).
     """
-    arms = as_vector(state).size.bit_length() - 1
-    amplitudes = _amplitudes(state, arms)
+    amplitudes = _amplitudes(state)
     delta_s = validate_resolution(delta_s, allow_limit=True)
+    arms = amplitudes.ndim - 1
     # products[e_a, e_a', e_b, e_b', ..., j] = A[e_a, e_b, ..., j] conj(A[e_a', e_b', ..., j])
     primed, unprimed, sheet = [*range(1, 2 * arms, 2)], [*range(0, 2 * arms, 2)], 2 * arms
     products = np.einsum(amplitudes, [*unprimed, sheet], amplitudes.conj(), [*primed, sheet], [*range(sheet + 1)])
     products = products.reshape((4,) * arms + (-1,))
-    return _table(_contract_arms([_center_map(delta_s)] * arms, products).real, delta_s, arms)
+    return _table(_contract_arms([_center_map(delta_s)] * arms, products).real, delta_s)
 
 
 # The old single/pair names, kept until the benchmark harness in bench/ uses the new one.
@@ -247,7 +247,7 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
 
     # Below the limit no singular value falls under pinv's cutoff of 1e-15 s[0]: V diag(1/s) U^T is np.linalg.pinv.
     weights = _contract_arms([vt.T @ ((1 / s)[:, None] * u.T) for u, s, vt in svds], density.values)
-    return _table(weights, delta_s, len(density.grids))
+    return _table(weights, delta_s)
 
 
 def k_distribution(table: QuasiProbTable) -> KDistribution:

@@ -387,6 +387,22 @@ class TestErrorsAndExitCodes:
         assert code == 2 and err.startswith("error: grid span") and err.count("\n") == 1
         assert out == ""
 
+    # A finite span whose last point, lo + step * 3, overflows.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["single", "--grid=0:1.7976931348623157e308:5.992310449541053e307"],
+            ["single", "--grid=-1.7976931348623157e308:0:5.992310449541053e307"],
+            ["pair", "--grid=0:1.7976931348623157e308:5.992310449541053e307"],
+            ["pair", "--grid=0:1.7976931348623157e308:5.992310449541053e307", "--format", "json"],
+        ],
+        ids=["single", "single-negative", "pair-csv", "pair-json"],
+    )
+    def test_grid_whose_last_point_overflows_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and err.startswith("error: grid's last point must be finite") and err.count("\n") == 1
+        assert out == ""
+
     @pytest.mark.parametrize("command", ["single", "pair", "table", "kdist"])
     def test_state_and_state_file_together_is_usage_error(self, capsys, tmp_path, command):
         path = tmp_path / "state.json"

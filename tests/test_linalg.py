@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from weakpol.linalg import (
-    as_vector,
     expectation,
     require_normalized,
 )
@@ -54,9 +53,9 @@ class TestOperatorFunction:
 
 class TestShapesRejected:
     @pytest.mark.parametrize("v", [[], [[1.0]]])
-    def test_as_vector_needs_a_nonempty_1d_array(self, v):
+    def test_require_normalized_needs_a_nonempty_1d_array(self, v):
         with pytest.raises(ValueError, match="nonempty 1-d complex vector"):
-            as_vector(v)
+            require_normalized(v)
 
     def test_as_matrix_needs_a_square_array(self):
         with pytest.raises(ValueError, match=r"square complex matrix, got shape \(2, 3\)"):

@@ -52,6 +52,31 @@ class TestPointerGrid:
         with pytest.raises(ValueError, match="span"):
             PointerGrid(lo, hi, step)
 
+    @pytest.mark.parametrize("lo,hi", [(0.0, 1.7976931348623157e308), (-1.7976931348623157e308, 0.0)])
+    def test_rejects_a_last_point_that_overflows(self, lo, hi):
+        # The span is about 3 steps, so the last point is lo + step * 3, and step * 3 overflows.
+        with pytest.raises(ValueError, match="last point must be finite"):
+            PointerGrid(lo, hi, 5.992310449541053e307)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        bounds=st.lists(st.floats(allow_nan=False), min_size=2, max_size=2).map(sorted),
+        points=st.integers(1, 10**4),
+        step=st.none() | st.floats(allow_nan=False),
+    )
+    @example(bounds=[0.0, 1.7976931348623157e308], points=3, step=5.992310449541053e307)
+    @example(bounds=[-1.7976931348623157e308, 0.0], points=3, step=5.992310449541053e307)
+    def test_points_are_finite_over_the_full_float_range(self, bounds, points, step):
+        lo, hi = bounds
+        # Without a drawn step, one that gives about ``points`` points.
+        step = (hi - lo) / points if step is None else step
+        try:
+            grid = PointerGrid(lo, hi, step)
+        except ValueError:
+            return
+        if grid.count <= 10**4:
+            assert np.isfinite(grid.points()).all()
+
 
 class TestOutcomeDensityLabels:
     @pytest.mark.parametrize(
