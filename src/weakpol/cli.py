@@ -15,7 +15,7 @@ tokens, about three times faster; where it spells a float differently from
 same with and without it. table,
 kdist, bound and check build their result once and write it through
 ``_render`` in the format ``--format`` names; table takes its layout from
-the state, one photon for 2 amplitudes and a pair for 4. A write that fails
+the table's arm count, 1 for 2 amplitudes and 2 for 4. A write that fails
 removes the partial ``--out`` file. Exit codes: 0 success, 1 failed check,
 2 usage error, 3 numerical guard failure, 4 output I/O error (including a
 stdout closed at start or by its reader), 5 internal error (any other
@@ -227,8 +227,8 @@ def _tokens(values: np.ndarray, number, orjson) -> np.ndarray:
     finite token comes from ``repr``. With it, one ``orjson.dumps`` gives the
     same shortest round-trip digits as ``repr``, spelled differently in three
     bands: for |x| in [1e-9, 1e-5) it writes a one-digit exponent (``1e-9``),
-    which is padded to two; for |x| in [1e-5, 1e-4) (``0.00001``), |x| >= 1e16
-    (``1e16``) and non-finite values (``null``) the token comes from ``repr``.
+    which is padded to two; for |x| in [1e-5, 1e-4) ``0.0000123`` is respelled
+    ``1.23e-05``; for |x| >= 1e16 and non-finite values the token is ``repr``'s.
     """
     flat = np.ravel(values)
     if orjson is None:
@@ -240,10 +240,12 @@ def _tokens(values: np.ndarray, number, orjson) -> np.ndarray:
         if short.any():
             padded = orjson.dumps(flat[short], option=orjson.OPT_SERIALIZE_NUMPY).decode()
             tokens[short] = padded[1:-1].replace("e-", "e-0").split(",")
-        # NaN fails every comparison, so it is taken from repr with the infinities.
-        other = ~((magnitude < 1e-5) | ((magnitude >= 1e-4) & (magnitude < 1e16)))
-        if other.any():
-            tokens[other] = list(map(float.__repr__, flat[other].tolist()))
+        fifth = (magnitude >= 1e-5) & (magnitude < 1e-4)
+        parts = (token.partition("0.0000") for token in tokens[fifth].tolist())
+        tokens[fifth] = [f"{sign}{d[0]}.{d[1:]}e-05" if len(d) > 1 else f"{sign}{d}e-05" for sign, _, d in parts]
+        # NaN fails this comparison; the non-finite tokens are written by number below.
+        other = magnitude >= 1e16
+        tokens[other] = list(map(float.__repr__, flat[other].tolist()))
     # Per block, so that a streamed density needs no pass over all its values first.
     special = ~np.isfinite(flat)
     if special.any():
@@ -381,15 +383,15 @@ def _render(args, config: dict, data, csv_table: tuple[list[str], list[list[str]
 
 
 def _cmd_table(args) -> int:
-    # The state picks the table: 2 amplitudes, one photon; 4, a pair.
     state, state_name = _resolve_state(args, _SYSTEMS["single"][0])
-    system = [*_SYSTEMS][state.size // 4]
     delta_s = _parse_delta_s(args.delta_s, allow_limit=True)
+    # The table's photon count, which the library reads from the state, picks the layout.
+    table = quasiprob_table(state, delta_s)
+    system = [*_SYSTEMS][table.arms - 1]
     *_, corner, names, column, row = _SYSTEMS[system]
     # Table entries come in table order, rows outermost, keyed (column label, row label).
-    entries = quasiprob_table(state, delta_s).entries
-    records = [{"labels": dict(zip(names, key)), "weight": w} for key, w in entries.items()]
-    keys, weights = list(entries), list(map(repr, entries.values()))
+    records = [{"labels": dict(zip(names, key)), "weight": w} for key, w in table.entries.items()]
+    keys, weights = list(table.entries), list(map(repr, table.entries.values()))
     width = len({label for label, _ in keys})
     header = [corner] + [column.format(label) for label, _ in keys[:width]]
     rows = [[row.format(keys[i][1])] + weights[i : i + width] for i in range(0, len(keys), width)]

@@ -15,7 +15,7 @@ def require_normalized(v) -> np.ndarray:
     arr = np.asarray(v, dtype=complex)
     if arr.ndim != 1 or arr.size == 0:
         raise ValueError(f"expected a nonempty 1-d complex vector, got shape {arr.shape}")
-    norm = float(np.linalg.norm(arr))
+    norm = np.vdot(arr, arr).real ** 0.5
     if not abs(norm - 1.0) <= NORMALIZATION_TOL:
         raise ValueError(f"state vector is not normalized (|norm - 1| = {abs(norm - 1.0):.3e})")
     return arr

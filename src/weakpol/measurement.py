@@ -23,6 +23,7 @@ from __future__ import annotations
 import math
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from functools import cache, cached_property
 from itertools import product, starmap
 
 import numpy as np
@@ -97,7 +98,7 @@ class PointerGrid:
         if not math.isfinite(self.lo + self.step * (self.count - 1)):
             raise ValueError(f"grid's last point must be finite, got {self.lo}:{self.hi}:{self.step}")
 
-    @property
+    @cached_property
     def count(self) -> int:
         return int(math.floor((self.hi - self.lo) / self.step + 1e-9)) + 1
 
@@ -156,10 +157,11 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
     result.
     """
     grows = math.prod(len(matrix) for matrix in matrices) > math.prod(matrix.shape[1] for matrix in matrices)
+    shape = list(weights.shape)
     for axis in sorted(range(len(matrices)), reverse=grows):
-        shape = weights.shape
         batch = weights.reshape(math.prod(shape[:axis]), shape[axis], -1)
-        weights = (matrices[axis] @ batch).reshape(*shape[:axis], -1, *shape[axis + 1 :])
+        shape[axis] = len(matrices[axis])
+        weights = (matrices[axis] @ batch).reshape(shape)
     return weights
 
 
@@ -169,21 +171,26 @@ def _contract_arms(matrices, weights: np.ndarray) -> np.ndarray:
 _MAX_ARMS = 3
 
 
+@cache
+def _state_map(arms: int) -> np.ndarray:
+    """(4**arms, 2**arms): column k is ``_amplitudes`` of basis state k, ``_ARM`` per arm with the e's moved first."""
+    per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, np.eye(2**arms, dtype=complex).reshape((2,) * arms + (-1,)))
+    order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2), 2 * arms]
+    return per_arm.reshape((2, 2) * arms + (-1,)).transpose(order).reshape(4**arms, -1)
+
+
 def _amplitudes(state) -> np.ndarray:
     """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
 
     The one place that decides a state's photon count, arms, from its 2**arms amplitudes (else ``ValueError``).
-    One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over
-    the readout sheets in ``_readout_labels(arms)`` order.
+    One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over the readout sheets in
+    ``_readout_labels(arms)`` order: one product with the arm count's cached ``_state_map``.
     """
     psi = require_normalized(state)
     arms = psi.size.bit_length() - 1
     if not (1 <= arms <= _MAX_ARMS and psi.size == 2**arms):
         raise ValueError(f"states of 1 to {_MAX_ARMS} photons, of dimension 2**photons, are supported, got {psi.size}")
-    per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, psi.reshape((2,) * arms))
-    # per_arm axes are (e_a, s2a, e_b, s2b, ...); gather the e's first.
-    order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2)]
-    return per_arm.reshape((2, 2) * arms).transpose(order).reshape((2,) * arms + (-1,))
+    return (_state_map(arms) @ psi).reshape((2,) * arms + (-1,))
 
 
 def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.ndarray:
@@ -212,8 +219,8 @@ _POINT_BYTES = 200
 _LATER_CELL_BYTES = 180
 
 
-def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
-    """Each grid's points, once O(1) checks show that a density on ``grids`` fits the size budget and the float range.
+def _grid_points(grids, delta_s: float) -> dict[PointerGrid, np.ndarray]:
+    """Each distinct grid's points, once O(1) checks show that a density on ``grids`` fits the budget and float range.
 
     Else ``ValueError``, before anything grid-sized is allocated. A density's sheets sum to at most
     (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
@@ -228,7 +235,7 @@ def _grid_points(grids, delta_s: float) -> list[np.ndarray]:
     # A float product that overflows is inf; it does not raise.
     if math.prod([1.0 / (delta_s * _ROOT_TWO_PI)] * len(grids)) == math.inf:
         raise ValueError(f"delta_s {delta_s!r} is too small for {len(grids)} photons: the density would overflow")
-    return [grid.points() for grid in grids]
+    return {grid: grid.points() for grid in grids}
 
 
 def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=_RUN_ROWS) -> Iterator[np.ndarray]:
@@ -258,9 +265,9 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=
     if width * _LATER_CELL_BYTES > _BUDGET_BYTES:
         limit = _BUDGET_BYTES // _LATER_CELL_BYTES
         raise ValueError(f"a density of {width} cells per first-arm point is over the size budget of {limit} per point")
-    # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4).
-    norm = math.sqrt(delta_s * _ROOT_TWO_PI)
-    first, *rest = [_gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) / norm for m in _grid_points(grids, delta_s)]
+    # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4), exp once per distinct grid.
+    kernels = {grid: _gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) for grid, m in _grid_points(grids, delta_s).items()}
+    first, *rest = (kernels[grid] / math.sqrt(delta_s * _ROOT_TWO_PI) for grid in grids)
     # With the first arm's axis moved last, the other arms' kernels apply to the leading axes: branches[e, j] is B_e
     # at cell j of the other arms' grids and sheets.
     branches = _contract_arms(rest, amplitudes.transpose(*range(1, amplitudes.ndim), 0)).reshape(-1, 2).T
@@ -331,7 +338,7 @@ def completeness_defect(delta_s: float, grid: PointerGrid) -> float:
     that the kernel family is a valid measurement on that grid.
     """
     delta_s = validate_resolution(delta_s)
-    (points,) = _grid_points((grid,), delta_s)
+    points = _grid_points((grid,), delta_s)[grid]
     # One row per eigenvalue, so that each row sum is numpy's pairwise sum over contiguous values.
     gaussians = _gaussians(np.array(_S1_EIGENVALUES, dtype=float), points, delta_s, 0.5)
     weights = grid.step * np.sum(gaussians, axis=1) / (delta_s * _ROOT_TWO_PI)

@@ -59,11 +59,12 @@ _TABLE_KEYS = (
 
 
 @cache
-def _keys(arms: int) -> tuple[tuple, tuple]:
-    """Table keys in the C order of a weight tensor with axes (s1 per arm..., readout sheet), and in table order."""
+def _keys(arms: int) -> tuple[tuple, tuple, list, frozenset]:
+    """Keys in a weight tensor's C order (s1 per arm..., sheet), in table order, as tensor indices, and as a set."""
     readouts = tuple(product(SINGLE_LABELS, repeat=arms))
     tensor = _bare(tuple(zip(s1, s2)) for s1 in product(S1_CENTERS, repeat=arms) for s2 in readouts)
-    return tensor, _TABLE_KEYS[arms - 1] if arms <= len(_TABLE_KEYS) else tensor
+    table = _TABLE_KEYS[arms - 1] if arms <= len(_TABLE_KEYS) else tensor
+    return tensor, table, list(map(tensor.index, table)), frozenset(tensor)
 
 
 @cache
@@ -93,9 +94,9 @@ class QuasiProbTable:
     for more. Finite-resolution tables keep the raw damped cross-term weights;
     ``deficit`` records how far their sum falls short of one (identically
     zero for the projector construction, where the cross terms cancel in the
-    total). Raises ``ValueError`` for an arm count outside 1 to 3, a missing
-    or extra key, a NaN or infinite weight, or weights whose doubled absolute
-    sum overflows, so every consumer can trust it.
+    total). Raises ``ValueError`` for the first of an arm count outside 1 to 3, a missing or
+    extra key, a NaN or infinite weight, or weights whose doubled absolute sum overflows, so
+    every consumer can trust it; a valid table passes all of these checks in one pass.
     """
 
     entries: dict
@@ -106,13 +107,15 @@ class QuasiProbTable:
         # The arm count first: the 6**arms keys would take 132 MiB at 7 photons.
         if not 1 <= self.arms <= _MAX_ARMS:
             raise ValueError(f"tables of 1 to {_MAX_ARMS} photons are supported, got {self.arms} photon(s)")
-        keys = _keys(self.arms)[0]
+        keys, _, _, key_set = _keys(self.arms)
+        # One pass for a valid table (fabs, like isfinite, refuses complex); else the checks below name the first fault.
+        if self.entries.keys() == key_set and math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
+            return
         for key in keys:
             if key not in self.entries:
                 raise ValueError(f"the table has no weight for key {key!r}")
         if len(self.entries) > len(keys):
-            known = set(keys)
-            extra = next(key for key in self.entries if key not in known)
+            extra = next(key for key in self.entries if key not in key_set)
             raise ValueError(f"the table has a weight for key {extra!r}, which is not a {self.arms}-photon label")
         for key, weight in self.entries.items():
             if not math.isfinite(weight):
@@ -144,11 +147,9 @@ class KDistribution:
 
 
 def _table(weights: np.ndarray, delta_s: float) -> QuasiProbTable:
-    """Table from weights[c_a, c_b, ..., j]: s1 center index per arm, then readout sheet j."""
-    arms = weights.ndim - 1
-    tensor_keys, table_keys = _keys(arms)
-    by_key = dict(zip(tensor_keys, weights.ravel().tolist()))
-    return QuasiProbTable(entries={key: by_key[key] for key in table_keys}, delta_s=delta_s, arms=arms)
+    """Table from weights[c_a, c_b, ..., j] (s1 center index per arm, then readout sheet j), read in table order."""
+    _, table_keys, order, _ = _keys(weights.ndim - 1)
+    return QuasiProbTable(dict(zip(table_keys, weights.ravel()[order].tolist())), delta_s, weights.ndim - 1)
 
 
 def _center_map(delta_s: float) -> np.ndarray:
@@ -204,10 +205,9 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
     bound = math.prod([sum(map(abs, table.entries.values())), *[max(1.0, 1.0 / (delta_s * _ROOT_TWO_PI))] * table.arms])
     if bound == math.inf:
         raise ValueError(f"table weights too large for delta_s {delta_s!r}: the rebuild could overflow the float range")
-    points = _grid_points(grids, delta_s)
+    columns = {grid: _gaussian_columns(points, delta_s) for grid, points in _grid_points(grids, delta_s).items()}
     weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
-    values = _contract_arms([_gaussian_columns(arm, delta_s) for arm in points], weights)
-    return OutcomeDensity(grids=grids, values=values)
+    return OutcomeDensity(grids=grids, values=_contract_arms(list(map(columns.get, grids)), weights))
 
 
 def _check_grid_coverage(grid: PointerGrid, delta_s: float) -> None:
@@ -233,13 +233,14 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     """
     delta_s = validate_resolution(delta_s)
     points = _grid_points(density.grids, delta_s)
-    for grid in density.grids:
+    for grid in points:
         _check_grid_coverage(grid, delta_s)
 
     if not np.isfinite(density.values).all():
         raise ValueError("density values must be finite, without NaN or inf")
 
-    svds = [np.linalg.svd(_gaussian_columns(arm, delta_s), full_matrices=False) for arm in points]
+    designs = {grid: np.linalg.svd(_gaussian_columns(m, delta_s), full_matrices=False) for grid, m in points.items()}
+    svds = list(map(designs.get, density.grids))
     # cond(A (x) B) = cond(A) cond(B): the guard sees the full design's value.
     condition_number = math.prod(float(s[0]) / float(s[-1]) if s[-1] else math.inf for _, s, _ in svds)
     if not condition_number <= CONDITION_LIMIT:

@@ -3,6 +3,8 @@ import math
 import numpy as np
 import pytest
 
+from weakpol.polarization import stokes_eigenstate, stokes_operator
+
 
 def random_pure_state(rng: np.random.Generator, dim: int) -> np.ndarray:
     vec = rng.normal(size=dim) + 1j * rng.normal(size=dim)
@@ -32,6 +34,24 @@ def kernel(target, delta_s: float, m: float) -> np.ndarray:
     """
     norm = math.sqrt(delta_s * math.sqrt(2.0 * math.pi))
     return spectral(target, lambda x: math.exp(-(((x - m) / delta_s) ** 2) / 4) / norm)
+
+
+def amplitudes_reference(state) -> np.ndarray:
+    """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state>, applied arm by arm with ``np.tensordot``.
+
+    Each arm's factor <s2| (I + e s1)/2 is built here from the Stokes operator and eigenstates, with e in (-1, 1)
+    and s2 in (1, -1); the sheets j run over the arms' s2 values with arm a slowest.
+    """
+    arm = np.array([[stokes_eigenstate(2, s2).conj() @ (np.eye(2) + e * stokes_operator(1)) / 2 for s2 in (1, -1)]
+                    for e in (-1, 1)])
+    arms = len(state).bit_length() - 1
+    tensor = np.asarray(state, dtype=complex).reshape((2,) * arms)
+    for _ in range(arms):
+        # The next arm's axis is the leading one; its (e, s2) axes are appended.
+        tensor = np.tensordot(tensor, arm, axes=([0], [2]))
+    # Axes (e_a, s2a, e_b, s2b, ...): the e's first, then the s2's as one sheet axis.
+    order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2)]
+    return tensor.transpose(order).reshape((2,) * arms + (-1,))
 
 
 def cell_volume(grids) -> float:

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -22,7 +23,7 @@ from weakpol.measurement import (
 from weakpol.polarization import bell_state, stokes_eigenstate, stokes_operator
 from weakpol.quasiprob import QuasiProbTable, deconvolve, quasiprob_table, reconstruct_density
 
-from conftest import integrate, kernel, peak_location, random_pure_state, spectral
+from conftest import amplitudes_reference, integrate, kernel, peak_location, random_pure_state, spectral
 
 
 class TestPointerGrid:
@@ -32,6 +33,16 @@ class TestPointerGrid:
         assert grid.count == 1201
         assert points[0] == -6.0
         assert points[-1] == pytest.approx(6.0, abs=1e-12)
+
+    @pytest.mark.parametrize("lo,hi,step", [(-6.0, 6.0, 0.01), (0, 1, 0.3), (-14, 14, 0.05), (0.0, 1.0, 1.0), (-1, 1, 3)])
+    def test_cached_count_equals_the_formula_and_keeps_equality_and_hash(self, lo, hi, step):
+        grid, other = PointerGrid(lo, hi, step), PointerGrid(lo, hi, step)
+        assert grid.count == int(math.floor((hi - lo) / step + 1e-9)) + 1 == len(grid.points())
+        # The count is cached on the instance; a grid without it is still equal, with the same hash and repr.
+        assert vars(other).pop("count") == grid.count and "count" not in vars(other)
+        assert grid == other and hash(grid) == hash(other) == hash((lo, hi, step)) and repr(grid) == repr(other)
+        assert [field.name for field in dataclasses.fields(PointerGrid)] == ["lo", "hi", "step"]
+        assert other.count == grid.count and vars(other)["count"] == grid.count
 
     def test_rejects_bad_bounds(self):
         with pytest.raises(ValueError):
@@ -376,6 +387,23 @@ class TestContractArms:
         density = outcome_density(state, 0.6, *grids)
         rebuilt = reconstruct_density(quasiprob_table(state, 0.6), *grids)
         assert density.values.flags.c_contiguous and rebuilt.values.flags.c_contiguous
+
+
+class TestStateMap:
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_state_map_amplitudes_equal_the_per_arm_reference(self, rng, arms):
+        for state in [*np.eye(2**arms), *(random_pure_state(rng, 2**arms) for _ in range(50))]:
+            amplitudes = measurement._amplitudes(state)
+            assert amplitudes.shape == (2,) * arms + (2**arms,)
+            np.testing.assert_allclose(amplitudes, amplitudes_reference(state), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_state_map_is_made_once_per_arm_count(self, arms):
+        state_map = measurement._state_map(arms)
+        assert state_map is measurement._state_map(arms) and state_map.shape == (4**arms, 2**arms)
+        # Column k holds the amplitudes of basis state k.
+        for k, basis in enumerate(np.eye(2**arms)):
+            np.testing.assert_allclose(state_map[:, k], amplitudes_reference(basis).ravel(), rtol=0, atol=1e-15)
 
 
 class TestDensityChunks:

@@ -203,6 +203,56 @@ class TestReconstruction:
         with pytest.raises(ValueError, match="weight for key 'unused', which is not a 2-photon label"):
             QuasiProbTable({**table.entries, "unused": 0.0}, 2.0, 2)
 
+    def test_a_missing_key_is_named_before_a_non_finite_weight(self):
+        entries = dict(quasiprob_table(bell_state(), 2.0).entries)
+        keys = list(entries)
+        del entries[keys[5]]
+        entries[keys[0]] = math.nan
+        with pytest.raises(ValueError, match=re.escape(f"the table has no weight for key {keys[5]!r}")):
+            QuasiProbTable(entries, 2.0, 2)
+
+    def test_a_foreign_key_in_place_of_a_label_is_refused(self):
+        # The same number of keys, one of them not a label: the missing label is named.
+        entries = dict(quasiprob_table(bell_state(), 2.0).entries)
+        key = list(entries)[5]
+        del entries[key]
+        entries["unused"] = 0.0
+        with pytest.raises(ValueError, match=re.escape(f"the table has no weight for key {key!r}")):
+            QuasiProbTable(entries, 2.0, 2)
+
+    def test_an_extra_key_is_named_before_a_non_finite_weight(self):
+        entries = {**quasiprob_table(bell_state(), 2.0).entries, "unused": 0.0}
+        entries[next(iter(entries))] = math.nan
+        with pytest.raises(ValueError, match="weight for key 'unused', which is not a 2-photon label"):
+            QuasiProbTable(entries, 2.0, 2)
+
+    def test_a_non_finite_weight_is_named_before_an_overflowing_sum(self):
+        entries = self.pair_table_with_k_extremes(1e308)
+        key = list(entries)[7]
+        entries[key] = math.nan
+        with pytest.raises(ValueError, match=re.escape(f"table weight nan of key {key!r} is not finite")):
+            QuasiProbTable(entries, 2.0, 2)
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_shuffled_keys_negative_zero_and_subnormal_weights_are_accepted(self, rng, arms):
+        entries = quasiprob_table(random_pure_state(rng, 2**arms), 0.8).entries
+        keys = list(entries)
+        shuffled = {keys[i]: entries[keys[i]] for i in rng.permutation(len(keys))}
+        shuffled[keys[0]], shuffled[keys[1]], shuffled[keys[2]] = -0.0, 5e-324, -2.2250738585072e-310
+        table = QuasiProbTable(shuffled, 0.8, arms)
+        assert list(table.entries.items()) == list(shuffled.items())
+        assert math.copysign(1.0, table.entries[keys[0]]) == -1.0
+
+    @pytest.mark.parametrize("weight", [1.0, 2**-1074, "1.0", 1j])
+    def test_a_weight_that_is_not_a_real_number_is_refused(self, weight):
+        entries = dict.fromkeys(quasiprob_table(bell_state(), 2.0).entries, 0.0)
+        entries[(0, 1), (0, 1)] = weight
+        if isinstance(weight, float):
+            assert QuasiProbTable(entries, 2.0, 2).entries[(0, 1), (0, 1)] == weight
+        else:
+            with pytest.raises(TypeError, match="must be real number"):
+                QuasiProbTable(entries, 2.0, 2)
+
     @staticmethod
     def pair_table_with_k_extremes(weight):
         entries = dict.fromkeys(quasiprob_table(bell_state(), 2.0).entries, 0.0)
@@ -235,6 +285,31 @@ class TestReconstruction:
             tracemalloc.stop()
         # At delta_s = 0.4 the peak is below 1, and the same weights rebuild to finite values.
         assert np.isfinite(reconstruct_density(QuasiProbTable(entries, 0.4, 2), grid, grid).values).all()
+
+
+class TestTableOrder:
+    @staticmethod
+    def dict_table(weights):
+        """Entries through a dict keyed in the weight tensor's C order, then looked up in table order."""
+        arms = weights.ndim - 1
+        readouts = list(product((1, -1), repeat=arms))
+        tensor_keys = [tuple(zip(s1, s2)) for s1 in product((-1, 0, 1), repeat=arms) for s2 in readouts]
+        tensor_keys = [key[0] if arms == 1 else key for key in tensor_keys]
+        by_key = dict(zip(tensor_keys, weights.ravel().tolist()))
+        table_keys = {
+            1: [(s1, s2) for s2 in (1, -1) for s1 in (-1, 0, 1)],
+            2: [(label_a, label_b) for label_b in PAIR_ROW_LABELS for label_a in PAIR_COLUMN_LABELS],
+        }.get(arms, tensor_keys)
+        return {key: by_key[key] for key in table_keys}
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_table_order_and_values_equal_the_dict_construction_bit_for_bit(self, rng, arms):
+        for _ in range(20):
+            weights = rng.normal(size=(3,) * arms + (2**arms,))
+            weights.ravel()[rng.integers(weights.size, size=3)] = -0.0
+            entries, expected = quasiprob._table(weights, 0.7).entries, self.dict_table(weights)
+            assert list(entries) == list(expected)
+            assert np.array(list(entries.values())).tobytes() == np.array(list(expected.values())).tobytes()
 
 
 class TestDeconvolve:

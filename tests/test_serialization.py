@@ -263,6 +263,21 @@ def test_orjson_tokens_match_number_over_the_float64_range(values, number):
     assert cli._tokens(values, number, orjson).tolist() == list(map(number, values.tolist()))
 
 
+# orjson writes |x| in [1e-5, 1e-4) as 0.0000 and the digits, which _tokens respells with an exponent:
+# one digit (3e-05), many (1.2345e-05) and the seventeen of a float next to a band edge.
+FIFTH_BAND_VALUES = [1e-5, 3e-5, 9e-5, 1.2345e-5, 7.25e-5, 1e-4 / 3, 9.999999999999999e-05, math.nextafter(1e-5, 1)]
+
+
+@pytest.mark.skipif(not HAVE_ORJSON, reason="orjson is not installed")
+@pytest.mark.parametrize("number", [float.__repr__, json.dumps])
+def test_orjson_tokens_match_number_in_the_band_from_1e_minus_5_to_1e_minus_4(number):
+    import orjson
+
+    values = np.array([sign * value for value in FIFTH_BAND_VALUES for sign in (1.0, -1.0)])
+    values = np.concatenate([values, np.random.default_rng(5).uniform(-1e-4, 1e-4, 2000)])
+    assert cli._tokens(values, number, orjson).tolist() == list(map(number, values.tolist()))
+
+
 def csv_document(header, rows):
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
