@@ -179,17 +179,23 @@ def _state_map(arms: int) -> np.ndarray:
     return per_arm.reshape((2, 2) * arms + (-1,)).transpose(order).reshape(4**arms, -1)
 
 
-def _amplitudes(state) -> np.ndarray:
-    """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
-
-    The one place that decides a state's photon count, arms, from its 2**arms amplitudes (else ``ValueError``).
-    One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over the readout sheets in
-    ``_readout_labels(arms)`` order: one product with the arm count's cached ``_state_map``.
-    """
+def _state_vector(state) -> np.ndarray:
+    """The normalized ``state``: the one place that decides its photon count, arms, from its 2**arms amplitudes."""
     psi = require_normalized(state)
     arms = psi.size.bit_length() - 1
     if not (1 <= arms <= _MAX_ARMS and psi.size == 2**arms):
         raise ValueError(f"states of 1 to {_MAX_ARMS} photons, of dimension 2**photons, are supported, got {psi.size}")
+    return psi
+
+
+def _amplitudes(state) -> np.ndarray:
+    """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
+
+    One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over the readout sheets in
+    ``_readout_labels(arms)`` order: one product with the arm count's cached ``_state_map``.
+    """
+    psi = _state_vector(state)
+    arms = psi.size.bit_length() - 1
     return (_state_map(arms) @ psi).reshape((2,) * arms + (-1,))
 
 

@@ -10,10 +10,10 @@ stays nonnegative. In the infinite-resolution limit (``delta_s = math.inf``)
 the damping disappears and the weights reach their full strength.
 
 Two independent routes to every table are provided: the analytic projector
-construction (the product, ``quasiprob_table``, for 1 to 3 photons) and a
-least-squares deconvolution of the sampled density (the oracle). Both, and
-the remix of a table into a density, act on a weight tensor with one axis
-per arm through one per-arm matrix each.
+construction (``quasiprob_table``, for 1 to 3 photons: weight r is
+<psi| W_r |psi> with one cached operator W_r per key) and a least-squares
+deconvolution of the sampled density (the oracle), which, like the remix of a
+table into a density, acts on a weight tensor through one matrix per arm.
 """
 
 from __future__ import annotations
@@ -31,11 +31,12 @@ from .measurement import (
     SINGLE_LABELS,
     _MAX_ARMS,
     _ROOT_TWO_PI,
-    _amplitudes,
     _bare,
     _contract_arms,
     _gaussians,
     _grid_points,
+    _state_map,
+    _state_vector,
     validate_resolution,
 )
 from .polarization import chsh_combination
@@ -107,9 +108,10 @@ class QuasiProbTable:
         # The arm count first: the 6**arms keys would take 132 MiB at 7 photons.
         if not 1 <= self.arms <= _MAX_ARMS:
             raise ValueError(f"tables of 1 to {_MAX_ARMS} photons are supported, got {self.arms} photon(s)")
-        keys, _, _, key_set = _keys(self.arms)
-        # One pass for a valid table (fabs, like isfinite, refuses complex); else the checks below name the first fault.
-        if self.entries.keys() == key_set and math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
+        keys, table_keys, _, key_set = _keys(self.arms)
+        # One pass for a valid table, keys in table order or as a set (fabs refuses complex); else name the first fault.
+        known = tuple(self.entries) == table_keys or self.entries.keys() == key_set
+        if known and math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
             return
         for key in keys:
             if key not in self.entries:
@@ -152,34 +154,36 @@ def _table(weights: np.ndarray, delta_s: float) -> QuasiProbTable:
     return QuasiProbTable(dict(zip(table_keys, weights.ravel()[order].tolist())), delta_s, weights.ndim - 1)
 
 
-def _center_map(delta_s: float) -> np.ndarray:
-    """C[c, (e, e')]: 1 where s1 center c is the midpoint of eigenvalues e, e'.
+@cache
+def _table_map(arms: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row r: key r's operator W_r, flattened, in table order; and the number of arms at s1 = 0 in key r.
 
-    The cross pairs e != e' carry the damping exp(-1/(2 delta_s^2)), 1 at inf.
-    Complex, like the products it is applied to, so that no product casts it.
+    W_r[k, l] = sum C[c_a, (e_a, e_a')] ... S[(e, j), k] conj(S[(e', j), l]) over the ``_state_map`` S, for the key's
+    s1 centers c and sheet j: C[c, (e, e')] is 1 where c is the midpoint of e and e', so s1 = 0 takes the cross pairs.
     """
-    damping = math.exp(-0.5 / (delta_s * delta_s))
-    return np.array([[1.0, 0.0, 0.0, 0.0], [0.0, damping, damping, 0.0], [0.0, 0.0, 0.0, 1.0]], dtype=complex)
+    amplitudes = _state_map(arms).reshape((2,) * arms + (2**arms, -1))
+    # products[e_a, e_a', e_b, e_b', ..., j, k, l] = S[e_a, e_b, ..., j, k] conj(S[e_a', e_b', ..., j, l])
+    primed, unprimed, j = [*range(1, 2 * arms, 2)], [*range(0, 2 * arms, 2)], 2 * arms
+    products = np.einsum(amplitudes, [*unprimed, j, j + 1], amplitudes.conj(), [*primed, j, j + 2], [*range(j + 3)])
+    centers = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=complex)
+    operators = _contract_arms([centers] * arms, products.reshape((4,) * arms + (-1,))).reshape(-1, 4**arms)
+    zeros = [[s1 for s1, _ in ((key,) if arms == 1 else key)].count(0) for key in _keys(arms)[1]]
+    return operators[_keys(arms)[2]], np.array(zeros)
 
 
 def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
-    """Joint quasi-probability table of (s1, s2) labels over every photon of ``state``.
+    """Joint quasi-probability table of (s1, s2) labels over every photon of a ``state`` of 2**arms amplitudes.
 
-    The arm count comes from the state's size, 2**arms amplitudes for 1 to 3
-    photons. With amplitudes A(e_a, e_b, ...; j) = <s2 sheet j| P_ea P_eb ...
-    |state> over the s1 eigenprojectors, each weight is
-    Re sum C[c_a, (e_a, e_a')] ... A[e_a, ..., j] conj(A[e_a', ..., j]): per
-    arm, s1 = +-1 takes e = e', and the midpoint s1 = 0 takes both cross
-    pairs, damped by exp(-1/(2 delta_s^2)) (1 in the limit).
+    Weight r is Re <psi| W_r |psi> with ``_table_map``'s cached W_r, times exp(-1/(2 delta_s^2)) (1 in the limit)
+    per arm at s1 = 0. Below delta_s = 0.0259 that damping is 0.0, and + 0.0 keeps -0.0 out; 0.0 ** 0 is 1.0.
     """
-    amplitudes = _amplitudes(state)
+    psi = _state_vector(state)
     delta_s = validate_resolution(delta_s, allow_limit=True)
-    arms = amplitudes.ndim - 1
-    # products[e_a, e_a', e_b, e_b', ..., j] = A[e_a, e_b, ..., j] conj(A[e_a', e_b', ..., j])
-    primed, unprimed, sheet = [*range(1, 2 * arms, 2)], [*range(0, 2 * arms, 2)], 2 * arms
-    products = np.einsum(amplitudes, [*unprimed, sheet], amplitudes.conj(), [*primed, sheet], [*range(sheet + 1)])
-    products = products.reshape((4,) * arms + (-1,))
-    return _table(_contract_arms([_center_map(delta_s)] * arms, products).real, delta_s)
+    arms = psi.size.bit_length() - 1
+    operators, zeros = _table_map(arms)
+    damping = math.exp(-0.5 / (delta_s * delta_s)) ** zeros
+    weights = (operators @ (psi[:, None] * psi.conj()).ravel()).real * damping + 0.0
+    return QuasiProbTable(dict(zip(_keys(arms)[1], weights.tolist())), delta_s, arms)
 
 
 # The old single/pair names, kept until the benchmark harness in bench/ uses the new one.

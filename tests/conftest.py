@@ -1,4 +1,5 @@
 import math
+from itertools import product
 
 import numpy as np
 import pytest
@@ -52,6 +53,29 @@ def amplitudes_reference(state) -> np.ndarray:
     # Axes (e_a, s2a, e_b, s2b, ...): the e's first, then the s2's as one sheet axis.
     order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2)]
     return tensor.transpose(order).reshape((2,) * arms + (-1,))
+
+
+def table_reference(state, delta_s: float) -> dict:
+    """Table weights keyed as the library keys them, by the per-arm construction from ``amplitudes_reference``.
+
+    products[e_a, e_a', e_b, e_b', ..., j] = A[e_a, e_b, ..., j] conj(A[e_a', e_b', ..., j]) are contracted arm by
+    arm, with ``np.tensordot``, against C[c, (e, e')]: 1 where the s1 center c in (-1, 0, 1) is the midpoint of the
+    eigenvalues e and e', the cross pairs damped by exp(-1/(2 delta_s^2)) (1 at inf).
+    """
+    amplitudes = amplitudes_reference(state)
+    arms = amplitudes.ndim - 1
+    damping = math.exp(-0.5 / delta_s**2)
+    centers = np.array([[1, 0, 0, 0], [0, damping, damping, 0], [0, 0, 0, 1]])
+    primed, unprimed, sheet = [*range(1, 2 * arms, 2)], [*range(0, 2 * arms, 2)], 2 * arms
+    weights = np.einsum(amplitudes, [*unprimed, sheet], amplitudes.conj(), [*primed, sheet], [*range(sheet + 1)])
+    weights = weights.reshape((4,) * arms + (-1,))
+    for _ in range(arms):
+        # The next arm's (e, e') axis is the leading one; its center axis is appended.
+        weights = np.tensordot(weights, centers, axes=([0], [1]))
+    weights = np.moveaxis(weights, 0, -1).real
+    labels = product(product((-1, 0, 1), repeat=arms), product((1, -1), repeat=arms))
+    keys = [tuple(zip(s1, s2)) for s1, s2 in labels]
+    return {key[0] if arms == 1 else key: weight for key, weight in zip(keys, weights.ravel().tolist())}
 
 
 def cell_volume(grids) -> float:

@@ -1,5 +1,7 @@
 import math
 import re
+import subprocess
+import sys
 import tracemalloc
 from functools import reduce
 from itertools import product
@@ -30,7 +32,7 @@ from weakpol.quasiprob import (
     reconstruct_density,
 )
 
-from conftest import kernel, random_pure_state
+from conftest import kernel, random_pure_state, table_reference
 
 ROOT_TWO = math.sqrt(2.0)
 
@@ -310,6 +312,68 @@ class TestTableOrder:
             entries, expected = quasiprob._table(weights, 0.7).entries, self.dict_table(weights)
             assert list(entries) == list(expected)
             assert np.array(list(entries.values())).tobytes() == np.array(list(expected.values())).tobytes()
+
+
+class TestTableMap:
+    @staticmethod
+    def at_midpoint(key, arms: int) -> bool:
+        """Whether some arm of the key has s1 = 0."""
+        return 0 in ([key[0]] if arms == 1 else [s1 for s1, _ in key])
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_table_map_weights_equal_the_per_arm_reference(self, rng, arms):
+        for _ in range(30):
+            state = random_pure_state(rng, 2**arms)
+            for delta_s in (1e-3, 0.3, 1.0, 2.5, LIMIT):
+                entries, expected = quasiprob_table(state, delta_s).entries, table_reference(state, delta_s)
+                assert entries.keys() == expected.keys()
+                np.testing.assert_allclose([entries[key] for key in expected], [*expected.values()], rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_table_map_is_made_once_per_arm_count(self, arms):
+        operators, zeros = quasiprob._table_map(arms)
+        assert quasiprob._table_map(arms)[0] is operators and operators.shape == (6**arms, 4**arms)
+        # Row r belongs to table key r; zeros[r] counts its arms at s1 = 0.
+        keys = [[key] if arms == 1 else key for key in quasiprob_table(np.eye(2**arms)[0], 1.0).entries]
+        assert zeros.tolist() == [sum(s1 == 0 for s1, _ in key) for key in keys]
+
+    def test_table_map_is_not_made_at_import(self):
+        probe = "from weakpol import quasiprob; print(quasiprob._table_map.cache_info().currsize)"
+        assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout == "0\n"
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_table_map_weights_without_a_midpoint_are_bit_identical_at_every_resolution(self, rng, arms):
+        state = random_pure_state(rng, 2**arms)
+        limit = quasiprob_table(state, LIMIT).entries
+        plain = [key for key in limit if not self.at_midpoint(key, arms)]
+        for delta_s in (1e-3, 0.05, 0.3, 1.0, 2.5, 1e150):
+            entries = quasiprob_table(state, delta_s).entries
+            assert np.array([entries[k] for k in plain]).tobytes() == np.array([limit[k] for k in plain]).tobytes()
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_table_map_midpoint_weights_are_exactly_zero_at_tiny_resolution(self, rng, arms):
+        entries = quasiprob_table(random_pure_state(rng, 2**arms), 1e-3).entries
+        midpoint = [weight for key, weight in entries.items() if self.at_midpoint(key, arms)]
+        # Exactly 0.0, not the -0.0 of a negative weight times a damping of 0.0.
+        assert len(midpoint) == 6**arms - 4**arms and all(math.copysign(1.0, w) == 1.0 and w == 0.0 for w in midpoint)
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_table_map_order_and_shuffled_keys_both_take_the_one_pass_check(self, rng, arms):
+        class Entries(dict):
+            def items(self):
+                raise AssertionError("the per-key checks ran")
+
+        table = quasiprob_table(random_pure_state(rng, 2**arms), 0.7)
+        assert tuple(table.entries) == quasiprob._keys(arms)[1]
+        keys = list(table.entries)
+        shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        for order in (keys, shuffled):
+            ordered = Entries((key, table.entries[key]) for key in order)
+            assert QuasiProbTable(ordered, 0.7, arms).entries == table.entries
+            entries = {key: table.entries[key] for key in order}
+            entries[keys[-1]] = 1j
+            with pytest.raises(TypeError, match="must be real number"):
+                QuasiProbTable(entries, 0.7, arms)
 
 
 class TestDeconvolve:
