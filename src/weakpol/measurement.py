@@ -271,9 +271,10 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=
     if width * _LATER_CELL_BYTES > _BUDGET_BYTES:
         limit = _BUDGET_BYTES // _LATER_CELL_BYTES
         raise ValueError(f"a density of {width} cells per first-arm point is over the size budget of {limit} per point")
-    # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4), exp once per distinct grid.
-    kernels = {grid: _gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) for grid, m in _grid_points(grids, delta_s).items()}
-    first, *rest = (kernels[grid] / math.sqrt(delta_s * _ROOT_TWO_PI) for grid in grids)
+    # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4), made once per distinct grid.
+    norm = math.sqrt(delta_s * _ROOT_TWO_PI)
+    kernels = {g: _gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) / norm for g, m in _grid_points(grids, delta_s).items()}
+    first, *rest = map(kernels.get, grids)
     # With the first arm's axis moved last, the other arms' kernels apply to the leading axes: branches[e, j] is B_e
     # at cell j of the other arms' grids and sheets.
     branches = _contract_arms(rest, amplitudes.transpose(*range(1, amplitudes.ndim), 0)).reshape(-1, 2).T

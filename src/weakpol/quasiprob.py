@@ -60,18 +60,18 @@ _TABLE_KEYS = (
 
 
 @cache
-def _keys(arms: int) -> tuple[tuple, tuple, list, frozenset]:
-    """Keys in a weight tensor's C order (s1 per arm..., sheet), in table order, as tensor indices, and as a set."""
+def _keys(arms: int) -> tuple[tuple, np.ndarray]:
+    """The keys in table order, and each one's position in a weight tensor's C order (s1 per arm..., sheet)."""
     readouts = tuple(product(SINGLE_LABELS, repeat=arms))
     tensor = _bare(tuple(zip(s1, s2)) for s1 in product(S1_CENTERS, repeat=arms) for s2 in readouts)
     table = _TABLE_KEYS[arms - 1] if arms <= len(_TABLE_KEYS) else tensor
-    return tensor, table, list(map(tensor.index, table)), frozenset(tensor)
+    return table, np.array([*map(tensor.index, table)])
 
 
 @cache
-def _pair_k_values() -> dict:
-    """The CHSH combination of each pair table key."""
-    return {(label_a, label_b): chsh_combination(*label_a, *label_b) for label_a, label_b in _keys(2)[0]}
+def _k_index() -> np.ndarray:
+    """Each pair table key's CHSH combination, in table order, as an index into K_VALUES."""
+    return np.array([chsh_combination(*label_a, *label_b) for label_a, label_b in _keys(2)[0]]) - K_VALUES[0]
 
 
 class IllConditionedDesignError(ValueError):
@@ -97,7 +97,7 @@ class QuasiProbTable:
     zero for the projector construction, where the cross terms cancel in the
     total). Raises ``ValueError`` for the first of an arm count outside 1 to 3, a missing or
     extra key, a NaN or infinite weight, or weights whose doubled absolute sum overflows, so
-    every consumer can trust it; a valid table passes all of these checks in one pass.
+    every consumer can trust it; ``entries`` are held in table order, and a dict in another order is copied into it.
     """
 
     entries: dict
@@ -108,16 +108,15 @@ class QuasiProbTable:
         # The arm count first: the 6**arms keys would take 132 MiB at 7 photons.
         if not 1 <= self.arms <= _MAX_ARMS:
             raise ValueError(f"tables of 1 to {_MAX_ARMS} photons are supported, got {self.arms} photon(s)")
-        keys, table_keys, _, key_set = _keys(self.arms)
-        # One pass for a valid table, keys in table order or as a set (fabs refuses complex); else name the first fault.
-        known = tuple(self.entries) == table_keys or self.entries.keys() == key_set
-        if known and math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
+        keys = _keys(self.arms)[0]
+        # One pass for a valid table in table order (fabs refuses complex); else name the first fault, or reorder.
+        if tuple(self.entries) == keys and math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
             return
         for key in keys:
             if key not in self.entries:
                 raise ValueError(f"the table has no weight for key {key!r}")
         if len(self.entries) > len(keys):
-            extra = next(key for key in self.entries if key not in key_set)
+            extra = next(key for key in self.entries if key not in keys)
             raise ValueError(f"the table has a weight for key {extra!r}, which is not a {self.arms}-photon label")
         for key, weight in self.entries.items():
             if not math.isfinite(weight):
@@ -125,6 +124,7 @@ class QuasiProbTable:
         # |total|, |deficit - 1| and each partial sum of a K mean (|K| <= 2) are at most 2 sum |w|.
         if not math.isfinite(2.0 * sum(map(abs, self.entries.values()))):
             raise ValueError("table weights too large: 2 * sum(|weight|) overflows the float range")
+        object.__setattr__(self, "entries", {key: self.entries[key] for key in keys})
 
     @property
     def total(self) -> float:
@@ -150,7 +150,7 @@ class KDistribution:
 
 def _table(weights: np.ndarray, delta_s: float) -> QuasiProbTable:
     """Table from weights[c_a, c_b, ..., j] (s1 center index per arm, then readout sheet j), read in table order."""
-    _, table_keys, order, _ = _keys(weights.ndim - 1)
+    table_keys, order = _keys(weights.ndim - 1)
     return QuasiProbTable(dict(zip(table_keys, weights.ravel()[order].tolist())), delta_s, weights.ndim - 1)
 
 
@@ -167,8 +167,8 @@ def _table_map(arms: int) -> tuple[np.ndarray, np.ndarray]:
     products = np.einsum(amplitudes, [*unprimed, j, j + 1], amplitudes.conj(), [*primed, j, j + 2], [*range(j + 3)])
     centers = np.array([[1, 0, 0, 0], [0, 1, 1, 0], [0, 0, 0, 1]], dtype=complex)
     operators = _contract_arms([centers] * arms, products.reshape((4,) * arms + (-1,))).reshape(-1, 4**arms)
-    zeros = [[s1 for s1, _ in ((key,) if arms == 1 else key)].count(0) for key in _keys(arms)[1]]
-    return operators[_keys(arms)[2]], np.array(zeros)
+    zeros = [[s1 for s1, _ in ((key,) if arms == 1 else key)].count(0) for key in _keys(arms)[0]]
+    return operators[_keys(arms)[1]], np.array(zeros)
 
 
 def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
@@ -183,7 +183,7 @@ def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
     operators, zeros = _table_map(arms)
     damping = math.exp(-0.5 / (delta_s * delta_s)) ** zeros
     weights = (operators @ (psi[:, None] * psi.conj()).ravel()).real * damping + 0.0
-    return QuasiProbTable(dict(zip(_keys(arms)[1], weights.tolist())), delta_s, arms)
+    return QuasiProbTable(dict(zip(_keys(arms)[0], weights.tolist())), delta_s, arms)
 
 
 # The old single/pair names, kept until the benchmark harness in bench/ uses the new one.
@@ -210,7 +210,8 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
     if bound == math.inf:
         raise ValueError(f"table weights too large for delta_s {delta_s!r}: the rebuild could overflow the float range")
     columns = {grid: _gaussian_columns(points, delta_s) for grid, points in _grid_points(grids, delta_s).items()}
-    weights = np.reshape([table.entries[key] for key in _keys(table.arms)[0]], (len(S1_CENTERS),) * table.arms + (-1,))
+    weights = np.empty((len(S1_CENTERS),) * table.arms + (2**table.arms,))
+    weights.flat[_keys(table.arms)[1]] = [*table.entries.values()]
     return OutcomeDensity(grids=grids, values=_contract_arms(list(map(columns.get, grids)), weights))
 
 
@@ -256,12 +257,9 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
 
 
 def k_distribution(table: QuasiProbTable) -> KDistribution:
-    """Aggregate a pair table's weights by their CHSH combination value."""
+    """Aggregate a pair table's weights by their CHSH combination value: one running sum per K value, in table order."""
     if table.arms != 2:
         raise ValueError("the CHSH distribution is defined for pair tables only")
-    weights = {k: 0.0 for k in K_VALUES}
-    k_of = _pair_k_values()
-    # One running sum per K value, in entry order.
-    for key, weight in table.entries.items():
-        weights[k_of[key]] += weight
-    return KDistribution(weights=weights)
+    # bincount adds each bin's weights in index order, from 0.0, as a loop over the entries would.
+    weights = np.bincount(_k_index(), [*table.entries.values()], minlength=len(K_VALUES))
+    return KDistribution(weights=dict(zip(K_VALUES, weights.tolist())))

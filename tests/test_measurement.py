@@ -425,6 +425,21 @@ class TestDensityChunks:
         assert self.drain_peak(1501, 1501) < 2**21
         assert self.drain_peak(1501, 801) < 1.1 * small
 
+    def test_a_later_arm_cell_costs_at_most_its_budget_constant(self):
+        # tracemalloc's marginal peak per cell of the second arm's grid and labels, between two large second grids.
+        def peak(points_b):
+            grids = (PointerGrid(-14, 14, 28), PointerGrid(-14, 14, 28 / (points_b - 1)))
+            tracemalloc.start()
+            try:
+                measurement._density_chunks(bell_state(), 2.0, grids)
+                return tracemalloc.get_traced_memory()[1], grids[1].count * 4
+            finally:
+                tracemalloc.stop()
+
+        (small, small_cells), (large, large_cells) = peak(20001), peak(40001)
+        assert large_cells - small_cells == 80000
+        assert (large - small) / (large_cells - small_cells) <= measurement._LATER_CELL_BYTES
+
     def test_draining_the_default_pair_chunks_holds_one_chunk_of_real_values(self):
         # The default `weakpol pair`: 561x561 points, 4 sheets, in runs of 8-byte values (32 KB), and arm b's kernel
         # arrays (about 180 bytes for each of its 561 x 4 cells, 404 KB), and nothing grid-sized.

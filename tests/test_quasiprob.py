@@ -4,7 +4,7 @@ import subprocess
 import sys
 import tracemalloc
 from functools import reduce
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -241,9 +241,51 @@ class TestReconstruction:
         keys = list(entries)
         shuffled = {keys[i]: entries[keys[i]] for i in rng.permutation(len(keys))}
         shuffled[keys[0]], shuffled[keys[1]], shuffled[keys[2]] = -0.0, 5e-324, -2.2250738585072e-310
+        given_keys, given_bits = list(shuffled), np.array(list(shuffled.values())).tobytes()
         table = QuasiProbTable(shuffled, 0.8, arms)
-        assert list(table.entries.items()) == list(shuffled.items())
+        # The same key -> weight pairs, bit for bit, in table order.
+        assert list(table.entries) == keys and list(shuffled) != keys
+        assert np.array(list(table.entries.values())).tobytes() == np.array([shuffled[k] for k in keys]).tobytes()
+        # The sign of -0.0 and the subnormals are kept.
         assert math.copysign(1.0, table.entries[keys[0]]) == -1.0
+        assert (table.entries[keys[1]], table.entries[keys[2]]) == (5e-324, -2.2250738585072e-310)
+        # The caller's dict is not changed.
+        assert table.entries is not shuffled
+        assert list(shuffled) == given_keys and np.array(list(shuffled.values())).tobytes() == given_bits
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_of_two_missing_keys_the_first_in_table_order_is_named(self, rng, arms):
+        entries = quasiprob_table(random_pure_state(rng, 2**arms), 1.0).entries
+        keys = list(entries)
+        pairs = list(combinations(range(len(keys)), 2))
+        for i, j in pairs if arms < 3 else [pairs[k] for k in rng.choice(len(pairs), 100, replace=False)]:
+            missing = {key: weight for key, weight in entries.items() if key not in (keys[i], keys[j])}
+            with pytest.raises(ValueError, match=re.escape(f"the table has no weight for key {keys[i]!r}")):
+                QuasiProbTable(missing, 1.0, arms)
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_a_shuffled_table_rebuilds_and_sums_bit_for_bit_as_in_table_order(self, rng, arms):
+        grid = PointerGrid(-5, 5, 0.5)
+        for delta_s in (0.3, 1.0, 2.5):
+            table = quasiprob_table(random_pure_state(rng, 2**arms), delta_s)
+            keys = list(table.entries)
+            entries = {keys[i]: table.entries[keys[i]] for i in rng.permutation(len(keys))}
+            shuffled = QuasiProbTable(entries, delta_s, arms)
+            rebuilt = [reconstruct_density(t, *[grid] * arms).values.tobytes() for t in (table, shuffled)]
+            assert rebuilt[0] == rebuilt[1]
+            if arms == 2:
+                assert repr(k_distribution(shuffled).weights) == repr(k_distribution(table).weights)
+
+    def test_entries_and_k_weights_are_python_floats(self, rng):
+        # The benchmark digests a table as repr(list(entries.items())): an np.float64 would print differently.
+        grid = PointerGrid(-8, 8, 0.25)
+        for arms in (1, 2):
+            state = random_pure_state(rng, 2**arms)
+            deconvolved = deconvolve(outcome_density(state, 1.0, *[grid] * arms), 1.0)
+            for table in (quasiprob_table(state, 1.0), quasiprob_table(state, LIMIT), deconvolved):
+                assert all(type(weight) is float for weight in table.entries.values())
+        weights = k_distribution(quasiprob_table(bell_state(), 1.0)).weights
+        assert [*map(type, weights)] == [int] * 5 and [*map(type, weights.values())] == [float] * 5
 
     @pytest.mark.parametrize("weight", [1.0, 2**-1074, "1.0", 1j])
     def test_a_weight_that_is_not_a_real_number_is_refused(self, weight):
@@ -358,18 +400,23 @@ class TestTableMap:
         assert len(midpoint) == 6**arms - 4**arms and all(math.copysign(1.0, w) == 1.0 and w == 0.0 for w in midpoint)
 
     @pytest.mark.parametrize("arms", [1, 2, 3])
-    def test_table_map_order_and_shuffled_keys_both_take_the_one_pass_check(self, rng, arms):
+    def test_table_map_order_takes_the_one_pass_check_and_shuffled_keys_are_reordered(self, rng, arms):
         class Entries(dict):
             def items(self):
                 raise AssertionError("the per-key checks ran")
 
         table = quasiprob_table(random_pure_state(rng, 2**arms), 0.7)
-        assert tuple(table.entries) == quasiprob._keys(arms)[1]
+        assert tuple(table.entries) == quasiprob._keys(arms)[0]
         keys = list(table.entries)
+        # A dict in table order is checked in one pass and kept as given.
+        ordered = Entries(table.entries)
+        assert QuasiProbTable(ordered, 0.7, arms).entries is ordered
         shuffled = [keys[i] for i in rng.permutation(len(keys))]
+        assert shuffled != keys
+        # A dict in another order comes back as a new dict in table order.
+        reordered = QuasiProbTable({key: table.entries[key] for key in shuffled}, 0.7, arms).entries
+        assert list(reordered.items()) == list(table.entries.items())
         for order in (keys, shuffled):
-            ordered = Entries((key, table.entries[key]) for key in order)
-            assert QuasiProbTable(ordered, 0.7, arms).entries == table.entries
             entries = {key: table.entries[key] for key in order}
             entries[keys[-1]] = 1j
             with pytest.raises(TypeError, match="must be real number"):
@@ -530,6 +577,10 @@ class TestKDistribution:
         for (label_a, label_b), weight in table.entries.items():
             weights[chsh_combination(*label_a, *label_b)] += weight
         return weights
+
+    def test_k_index_is_not_made_at_import(self):
+        probe = "from weakpol import quasiprob; print(quasiprob._k_index.cache_info().currsize)"
+        assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True).stdout == "0\n"
 
     @pytest.mark.parametrize("delta_s", [0.3, 1.0, 2.5, LIMIT])
     def test_weights_are_the_entry_order_sums_bit_for_bit(self, rng, delta_s):
