@@ -18,9 +18,9 @@ kdist, bound and check build their result once and write it through
 the table's arm count, 1 for 2 amplitudes and 2 for 4. A write that fails
 removes the partial ``--out`` file. Exit codes: 0 success, 1 failed check,
 2 usage error, 3 numerical guard failure, 4 output I/O error (including a
-stdout closed at start or by its reader), 5 internal error (any other
-exception, reported in one line with its type). A stderr that cannot be
-written loses the message, not the exit code.
+stdout closed at start or by its reader, and any failed write to it), 5
+internal error (any other exception, reported in one line with its type).
+A stderr that cannot be written loses the message, not the exit code.
 """
 
 from __future__ import annotations
@@ -186,16 +186,24 @@ def _write(chunks: Iterable[str], out: str | None) -> None:
     """Write text chunks to stdout, or to the file ``out``.
 
     If writing the file fails part way, the partial file is removed; OS errors
-    on the file, and a stdout closed at start, become ``OutputError``.
+    on the file or on stdout, and a stdout closed at start, become ``OutputError``.
     """
     if out is None:
         # Python sets sys.stdout to None when file descriptor 1 is closed at start.
         if sys.stdout is None:
             raise OutputError("cannot write to standard output: it is closed")
-        for chunk in chunks:
-            sys.stdout.write(chunk)
-        # A closed pipe must fail here, inside main, not in the flush at exit.
-        sys.stdout.flush()
+        try:
+            for chunk in chunks:
+                sys.stdout.write(chunk)
+            # A failed write (a closed pipe, a full device) must fail here, inside main, not in the flush at exit.
+            sys.stdout.flush()
+        except OSError as exc:
+            # Point stdout at devnull so that the interpreter's flush at exit cannot fail on what is still buffered.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            reason = "the reader closed the pipe" if isinstance(exc, BrokenPipeError) else exc.strerror or exc
+            raise OutputError(f"cannot write to standard output: {reason}") from None
         return
     try:
         handle = open(out, "w", encoding="utf-8", newline="")
@@ -543,13 +551,6 @@ def main(argv=None) -> int:
         message, code = f"numerical guard: {exc}", 3
     except OutputError as exc:
         message, code = f"error: {exc}", 4
-    except BrokenPipeError:
-        # The reader of stdout is gone. Point stdout at devnull so that the
-        # interpreter's flush at exit cannot fail on what is still buffered.
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
-        message, code = "error: cannot write to standard output: the reader closed the pipe", 4
     except Exception as exc:
         message, code = f"error: internal error: {type(exc).__name__}: {' '.join(str(exc).splitlines())}", 5
     # The message is best effort: stderr may be the closed pipe of stdout (as in

@@ -21,7 +21,7 @@ density evaluation.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Iterator
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import cache, cached_property
 from itertools import product, starmap
@@ -179,13 +179,13 @@ def _state_map(arms: int) -> np.ndarray:
     return per_arm.reshape((2, 2) * arms + (-1,)).transpose(order).reshape(4**arms, -1)
 
 
-def _state_vector(state) -> np.ndarray:
-    """The normalized ``state``: the one place that decides its photon count, arms, from its 2**arms amplitudes."""
+def _state_vector(state) -> tuple[np.ndarray, int]:
+    """The normalized ``state`` and its photon count, arms: the one place that decides it, from 2**arms amplitudes."""
     psi = require_normalized(state)
     arms = psi.size.bit_length() - 1
     if not (1 <= arms <= _MAX_ARMS and psi.size == 2**arms):
         raise ValueError(f"states of 1 to {_MAX_ARMS} photons, of dimension 2**photons, are supported, got {psi.size}")
-    return psi
+    return psi, arms
 
 
 def _amplitudes(state) -> np.ndarray:
@@ -194,8 +194,7 @@ def _amplitudes(state) -> np.ndarray:
     One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over the readout sheets in
     ``_readout_labels(arms)`` order: one product with the arm count's cached ``_state_map``.
     """
-    psi = _state_vector(state)
-    arms = psi.size.bit_length() - 1
+    psi, arms = _state_vector(state)
     return (_state_map(arms) @ psi).reshape((2,) * arms + (-1,))
 
 
@@ -225,11 +224,10 @@ _POINT_BYTES = 200
 _LATER_CELL_BYTES = 180
 
 
-def _grid_points(grids, delta_s: float) -> dict[PointerGrid, np.ndarray]:
-    """Each distinct grid's points, once O(1) checks show that a density on ``grids`` fits the budget and float range.
-
-    Else ``ValueError``, before anything grid-sized is allocated. A density's sheets sum to at most
-    (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at three photons.
+def _arm_factors(grids, delta_s: float, factor: Callable[[PointerGrid], object]) -> list:
+    """One ``factor(grid)`` per arm, made once per distinct grid in order of first appearance, after O(1) checks that
+    a density on ``grids`` fits the budget and float range; else ``ValueError``, before ``factor`` is called. A
+    density's sheets sum to at most (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at 3 photons.
     """
     counts = [grid.count for grid in grids]
     cells = math.prod(counts) * 2 ** len(grids)
@@ -241,7 +239,8 @@ def _grid_points(grids, delta_s: float) -> dict[PointerGrid, np.ndarray]:
     # A float product that overflows is inf; it does not raise.
     if math.prod([1.0 / (delta_s * _ROOT_TWO_PI)] * len(grids)) == math.inf:
         raise ValueError(f"delta_s {delta_s!r} is too small for {len(grids)} photons: the density would overflow")
-    return {grid: grid.points() for grid in grids}
+    factors = {grid: factor(grid) for grid in dict.fromkeys(grids)}
+    return [factors[grid] for grid in grids]
 
 
 def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=_RUN_ROWS) -> Iterator[np.ndarray]:
@@ -273,8 +272,7 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=
         raise ValueError(f"a density of {width} cells per first-arm point is over the size budget of {limit} per point")
     # Each arm's kernel eigenvalues exp(-((m - e)/delta_s)^2/4) / (2 pi delta_s^2)^(1/4), made once per distinct grid.
     norm = math.sqrt(delta_s * _ROOT_TWO_PI)
-    kernels = {g: _gaussians(m, _S1_EIGENVALUES, delta_s, 0.25) / norm for g, m in _grid_points(grids, delta_s).items()}
-    first, *rest = map(kernels.get, grids)
+    first, *rest = _arm_factors(grids, delta_s, lambda g: _gaussians(g.points(), _S1_EIGENVALUES, delta_s, 0.25) / norm)
     # With the first arm's axis moved last, the other arms' kernels apply to the leading axes: branches[e, j] is B_e
     # at cell j of the other arms' grids and sheets.
     branches = _contract_arms(rest, amplitudes.transpose(*range(1, amplitudes.ndim), 0)).reshape(-1, 2).T
@@ -345,7 +343,7 @@ def completeness_defect(delta_s: float, grid: PointerGrid) -> float:
     that the kernel family is a valid measurement on that grid.
     """
     delta_s = validate_resolution(delta_s)
-    points = _grid_points((grid,), delta_s)[grid]
+    (points,) = _arm_factors((grid,), delta_s, PointerGrid.points)
     # One row per eigenvalue, so that each row sum is numpy's pairwise sum over contiguous values.
     gaussians = _gaussians(np.array(_S1_EIGENVALUES, dtype=float), points, delta_s, 0.5)
     weights = grid.step * np.sum(gaussians, axis=1) / (delta_s * _ROOT_TWO_PI)

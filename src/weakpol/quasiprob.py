@@ -31,10 +31,10 @@ from .measurement import (
     SINGLE_LABELS,
     _MAX_ARMS,
     _ROOT_TWO_PI,
+    _arm_factors,
     _bare,
     _contract_arms,
     _gaussians,
-    _grid_points,
     _state_map,
     _state_vector,
     validate_resolution,
@@ -95,9 +95,9 @@ class QuasiProbTable:
     for more. Finite-resolution tables keep the raw damped cross-term weights;
     ``deficit`` records how far their sum falls short of one (identically
     zero for the projector construction, where the cross terms cancel in the
-    total). Raises ``ValueError`` for the first of an arm count outside 1 to 3, a missing or
-    extra key, a NaN or infinite weight, or weights whose doubled absolute sum overflows, so
-    every consumer can trust it; ``entries`` are held in table order, and a dict in another order is copied into it.
+    total). Raises ``ValueError`` for the first of an arm count outside 1 to 3, a missing or extra key, a NaN or
+    infinite weight (the first in table order), or weights whose doubled absolute sum overflows, so every consumer
+    can trust it; ``entries`` are held in table order, and a dict in another order is copied into it.
     """
 
     entries: dict
@@ -109,22 +109,20 @@ class QuasiProbTable:
         if not 1 <= self.arms <= _MAX_ARMS:
             raise ValueError(f"tables of 1 to {_MAX_ARMS} photons are supported, got {self.arms} photon(s)")
         keys = _keys(self.arms)[0]
-        # One pass for a valid table in table order (fabs refuses complex); else name the first fault, or reorder.
-        if tuple(self.entries) == keys and math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
-            return
-        for key in keys:
-            if key not in self.entries:
-                raise ValueError(f"the table has no weight for key {key!r}")
-        if len(self.entries) > len(keys):
-            extra = next(key for key in self.entries if key not in keys)
-            raise ValueError(f"the table has a weight for key {extra!r}, which is not a {self.arms}-photon label")
-        for key, weight in self.entries.items():
-            if not math.isfinite(weight):
-                raise ValueError(f"table weight {weight!r} of key {key!r} is not finite")
-        # |total|, |deficit - 1| and each partial sum of a K mean (|K| <= 2) are at most 2 sum |w|.
-        if not math.isfinite(2.0 * sum(map(abs, self.entries.values()))):
+        if tuple(self.entries) != keys:
+            for key in keys:
+                if key not in self.entries:
+                    raise ValueError(f"the table has no weight for key {key!r}")
+            if len(self.entries) > len(keys):
+                extra = next(key for key in self.entries if key not in keys)
+                raise ValueError(f"the table has a weight for key {extra!r}, which is not a {self.arms}-photon label")
+            object.__setattr__(self, "entries", {key: self.entries[key] for key in keys})
+        # 2 sum |w| bounds |total|, |deficit - 1| and each partial sum of a K mean (|K| <= 2); fabs refuses complex.
+        if not math.isfinite(2.0 * sum(map(math.fabs, self.entries.values()))):
+            for key, weight in self.entries.items():
+                if not math.isfinite(weight):
+                    raise ValueError(f"table weight {weight!r} of key {key!r} is not finite")
             raise ValueError("table weights too large: 2 * sum(|weight|) overflows the float range")
-        object.__setattr__(self, "entries", {key: self.entries[key] for key in keys})
 
     @property
     def total(self) -> float:
@@ -177,9 +175,8 @@ def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
     Weight r is Re <psi| W_r |psi> with ``_table_map``'s cached W_r, times exp(-1/(2 delta_s^2)) (1 in the limit)
     per arm at s1 = 0. Below delta_s = 0.0259 that damping is 0.0, and + 0.0 keeps -0.0 out; 0.0 ** 0 is 1.0.
     """
-    psi = _state_vector(state)
+    psi, arms = _state_vector(state)
     delta_s = validate_resolution(delta_s, allow_limit=True)
-    arms = psi.size.bit_length() - 1
     operators, zeros = _table_map(arms)
     damping = math.exp(-0.5 / (delta_s * delta_s)) ** zeros
     weights = (operators @ (psi[:, None] * psi.conj()).ravel()).real * damping + 0.0
@@ -190,9 +187,9 @@ def quasiprob_table(state, delta_s: float) -> QuasiProbTable:
 quasiprob_table_single = quasiprob_table_pair = quasiprob_table
 
 
-def _gaussian_columns(points: np.ndarray, delta_s: float) -> np.ndarray:
-    """Normalized Gaussians of variance delta_s^2 at the s1 centers, one column each."""
-    return _gaussians(points, S1_CENTERS, delta_s, 0.5) / (delta_s * _ROOT_TWO_PI)
+def _gaussian_columns(grid: PointerGrid, delta_s: float) -> np.ndarray:
+    """Normalized Gaussians of variance delta_s^2 at the s1 centers, one column each, one row per grid point."""
+    return _gaussians(grid.points(), S1_CENTERS, delta_s, 0.5) / (delta_s * _ROOT_TWO_PI)
 
 
 def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDensity:
@@ -209,20 +206,10 @@ def reconstruct_density(table: QuasiProbTable, *grids: PointerGrid) -> OutcomeDe
     bound = math.prod([sum(map(abs, table.entries.values())), *[max(1.0, 1.0 / (delta_s * _ROOT_TWO_PI))] * table.arms])
     if bound == math.inf:
         raise ValueError(f"table weights too large for delta_s {delta_s!r}: the rebuild could overflow the float range")
-    columns = {grid: _gaussian_columns(points, delta_s) for grid, points in _grid_points(grids, delta_s).items()}
+    columns = _arm_factors(grids, delta_s, lambda grid: _gaussian_columns(grid, delta_s))
     weights = np.empty((len(S1_CENTERS),) * table.arms + (2**table.arms,))
     weights.flat[_keys(table.arms)[1]] = [*table.entries.values()]
-    return OutcomeDensity(grids=grids, values=_contract_arms(list(map(columns.get, grids)), weights))
-
-
-def _check_grid_coverage(grid: PointerGrid, delta_s: float) -> None:
-    lo_needed = min(S1_CENTERS) - 6.0 * delta_s
-    hi_needed = max(S1_CENTERS) + 6.0 * delta_s
-    if grid.lo > lo_needed or grid.hi < hi_needed:
-        raise ValueError(
-            f"grid [{grid.lo}, {grid.hi}] does not cover the centers +- 6 delta_s "
-            f"([{lo_needed}, {hi_needed}]) needed for the fit"
-        )
+    return OutcomeDensity(grids=grids, values=_contract_arms(columns, weights))
 
 
 def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
@@ -232,22 +219,28 @@ def deconvolve(density: OutcomeDensity, delta_s: float) -> QuasiProbTable:
     ``delta_s^2`` centered at the s1 labels (separable products of them in
     the pair case), solved arm by arm: the pseudo-inverse of the Kronecker
     product of the arms' designs is the product of their pseudo-inverses.
-    Acts as the independent oracle for the analytic tables. Raises
-    ``ValueError`` over the size budget, or where a value is NaN or infinite;
-    an ``OutcomeDensity`` has the shape of its grids and labels.
+    Acts as the independent oracle for the analytic tables. Raises, in
+    order, ``ValueError`` over the size budget, for the first arm whose grid
+    misses the centers +- 6 delta_s or for a NaN or infinite value, and
+    ``IllConditionedDesignError`` (always on an arm of fewer than 3 points).
     """
     delta_s = validate_resolution(delta_s)
-    points = _grid_points(density.grids, delta_s)
-    for grid in points:
-        _check_grid_coverage(grid, delta_s)
+    lo_needed, hi_needed = min(S1_CENTERS) - 6.0 * delta_s, max(S1_CENTERS) + 6.0 * delta_s
 
+    def design(grid: PointerGrid):
+        if grid.lo > lo_needed or grid.hi < hi_needed:
+            raise ValueError(
+                f"grid [{grid.lo}, {grid.hi}] does not cover the centers +- 6 delta_s "
+                f"([{lo_needed}, {hi_needed}]) needed for the fit"
+            )
+        return np.linalg.svd(_gaussian_columns(grid, delta_s), full_matrices=False)
+
+    svds = _arm_factors(density.grids, delta_s, design)
     if not np.isfinite(density.values).all():
         raise ValueError("density values must be finite, without NaN or inf")
-
-    designs = {grid: np.linalg.svd(_gaussian_columns(m, delta_s), full_matrices=False) for grid, m in points.items()}
-    svds = list(map(designs.get, density.grids))
-    # cond(A (x) B) = cond(A) cond(B): the guard sees the full design's value.
-    condition_number = math.prod(float(s[0]) / float(s[-1]) if s[-1] else math.inf for _, s, _ in svds)
+    # cond(A (x) B) = cond(A) cond(B): the guard sees the full design's value. A grid of n < 3 points has n values.
+    conditions = (float(s[0]) / float(s[-1]) if len(s) == len(S1_CENTERS) and s[-1] else math.inf for _, s, _ in svds)
+    condition_number = math.prod(conditions)
     if not condition_number <= CONDITION_LIMIT:
         raise IllConditionedDesignError(delta_s, condition_number)
 

@@ -642,6 +642,18 @@ class TestClosedStdout:
         assert "Traceback" not in stderr
         assert stderr == "error: cannot write to standard output: it is closed\n"
 
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that fails every write")
+    @pytest.mark.parametrize("command", ["bound", "pair", "check", "kdist --format json"])
+    def test_failed_write_to_stdout_exits_four_with_one_line(self, command):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        # Buffered, as by default: what is still buffered must not fail again in the flush at exit.
+        env.pop("PYTHONUNBUFFERED", None)
+        argv = ["sh", "-c", f'exec "$0" -m weakpol.cli {command} >/dev/full', sys.executable]
+        result = subprocess.run(argv, capture_output=True, env=env, timeout=60)
+        assert result.returncode == 4
+        assert result.stderr.decode() == f"error: cannot write to standard output: {os.strerror(errno.ENOSPC)}\n"
+
     @pytest.mark.parametrize(
         "command,code",
         [

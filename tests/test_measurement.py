@@ -406,6 +406,37 @@ class TestStateMap:
             np.testing.assert_allclose(state_map[:, k], amplitudes_reference(basis).ravel(), rtol=0, atol=1e-15)
 
 
+class TestArmFactors:
+    def test_factor_is_made_once_per_distinct_grid_in_order_of_first_appearance(self):
+        a, b = PointerGrid(-1, 1, 1), PointerGrid(-2, 2, 1)
+        calls = []
+
+        def factor(grid):
+            calls.append(grid)
+            return len(calls), grid
+
+        # An equal grid built anew is the same grid.
+        factors = measurement._arm_factors((b, a, PointerGrid(-2, 2, 1)), 1.0, factor)
+        assert calls == [b, a]
+        assert factors == [(1, b), (2, a), (1, b)] and factors[0] is factors[2]
+
+    @pytest.mark.parametrize(
+        "grids,delta_s,message",
+        [
+            ((PointerGrid(-14, 14, 1e-7),), 1.0, "over the size budget"),
+            ((PointerGrid(0, 4096, 1),) * 2, 1.0, "over the size budget"),
+            ((PointerGrid(-1, 1, 1),) * 3, 1e-104, "too small for 3 photons"),
+        ],
+        ids=["points", "cells", "peak"],
+    )
+    def test_over_the_budget_or_the_peak_raises_before_a_factor_is_made(self, grids, delta_s, message):
+        def factor(grid):
+            raise AssertionError("a factor was made")
+
+        with pytest.raises(ValueError, match=message):
+            measurement._arm_factors(grids, delta_s, factor)
+
+
 class TestDensityChunks:
     @staticmethod
     def drain_peak(points_a, points_b):

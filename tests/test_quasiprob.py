@@ -297,6 +297,28 @@ class TestReconstruction:
             with pytest.raises(TypeError, match="must be real number"):
                 QuasiProbTable(entries, 2.0, 2)
 
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_of_two_non_finite_weights_in_a_shuffled_dict_the_first_in_table_order_is_named(self, rng, arms):
+        entries = quasiprob_table(random_pure_state(rng, 2**arms), 1.0).entries
+        keys = list(entries)
+        i, j = sorted(rng.choice(len(keys), 2, replace=False))
+        # keys[j] comes first in the dict, keys[i] first in table order.
+        order = [j, *(k for k in rng.permutation(len(keys)) if k != j)]
+        shuffled = {keys[k]: entries[keys[k]] for k in order}
+        shuffled[keys[i]], shuffled[keys[j]] = math.nan, math.inf
+        with pytest.raises(ValueError, match=re.escape(f"table weight nan of key {keys[i]!r} is not finite")):
+            QuasiProbTable(shuffled, 1.0, arms)
+
+    @pytest.mark.parametrize("arms", [1, 2, 3])
+    def test_a_complex_weight_raises_type_error_in_table_order_and_shuffled_even_after_a_nan(self, rng, arms):
+        entries = quasiprob_table(random_pure_state(rng, 2**arms), 1.0).entries
+        keys = list(entries)
+        for order in (keys, [keys[0], *(keys[k] for k in rng.permutation(range(1, len(keys))))]):
+            given = {key: entries[key] for key in order}
+            given[keys[0]], given[keys[-1]] = math.nan, 1j
+            with pytest.raises(TypeError, match="must be real number"):
+                QuasiProbTable(given, 1.0, arms)
+
     @staticmethod
     def pair_table_with_k_extremes(weight):
         entries = dict.fromkeys(quasiprob_table(bell_state(), 2.0).entries, 0.0)
@@ -503,6 +525,50 @@ class TestDeconvolve:
         values.flat[values.size // 3] = bad
         with pytest.raises(ValueError, match="finite"):
             deconvolve(OutcomeDensity(density.grids, values), 2.0)
+
+    def test_a_density_over_the_budget_on_an_uncovered_grid_names_the_budget(self):
+        # 2000001 points on [-1, 1]: over the points per grid, and short of -7 to 7 at delta_s 1.
+        grid = PointerGrid(-1, 1, 1e-6)
+        with pytest.raises(ValueError, match="over the size budget"):
+            deconvolve(OutcomeDensity((grid,), np.broadcast_to(0.0, (grid.count, 2))), 1.0)
+
+    def test_of_two_uncovered_arms_the_first_is_named_before_a_nan(self):
+        covered, first, second = PointerGrid(-8, 8, 0.5), PointerGrid(-4, 8, 0.5), PointerGrid(-8, 5, 0.5)
+        for grids in [(covered, first, second), (first, second), (second, first)]:
+            values = np.full((*(grid.count for grid in grids), 2 ** len(grids)), math.nan)
+            with pytest.raises(ValueError, match=re.escape(f"grid [{grids[-2].lo}, {grids[-2].hi}] does not cover")):
+                deconvolve(OutcomeDensity(grids, values), 1.0)
+
+    def test_a_nan_on_a_grid_of_two_points_is_named_before_the_guard(self):
+        grid = PointerGrid(-7, 7, 14)
+        with pytest.raises(ValueError, match="must be finite") as excinfo:
+            deconvolve(OutcomeDensity((grid,), np.full((2, 2), math.nan)), 1.0)
+        assert excinfo.type is ValueError
+
+    @pytest.mark.parametrize(
+        "state,delta_s,grids",
+        [
+            (stokes_eigenstate(2, +1), 1.0, [PointerGrid(-7, 7, 15)]),
+            (stokes_eigenstate(2, +1), 1.0, [PointerGrid(-7, 7, 14)]),
+            (bell_state(), 2.0, [PointerGrid(-13, 13, 26)] * 2),
+            (bell_state(), 2.0, [PointerGrid(-13, 13, 0.5), PointerGrid(-13, 13, 26)]),
+            (bell_state(), 2.0, [PointerGrid(-13, 13, 26), PointerGrid(-13, 13, 0.5)]),
+        ],
+        ids=["one-point", "two-points", "pair-2x2", "pair-53x2", "pair-2x53"],
+    )
+    def test_an_arm_of_fewer_points_than_centers_trips_the_guard(self, state, delta_s, grids):
+        # Its n x 3 design has only n singular values, none of them the structural zero.
+        assert min(grid.count for grid in grids) < 3
+        with pytest.raises(IllConditionedDesignError) as excinfo:
+            deconvolve(outcome_density(state, delta_s, *grids), delta_s)
+        assert excinfo.value.condition_number == math.inf
+
+    def test_an_arm_of_as_many_points_as_centers_is_solved_exactly(self):
+        grid = PointerGrid(-7, 7, 7)
+        state = stokes_eigenstate(2, +1)
+        recovered = deconvolve(outcome_density(state, 1.0, grid), 1.0)
+        for label, weight in quasiprob_table(state, 1.0).entries.items():
+            assert recovered.entries[label] == pytest.approx(weight, abs=1e-8)
 
     def test_integer_values_give_the_table_of_their_floats(self):
         grid = PointerGrid(-8, 8, 0.5)
