@@ -42,11 +42,6 @@ def _bare(labels: Iterable[tuple]) -> tuple:
     return tuple(label[0] if len(label) == 1 else label for label in labels)
 
 
-def _readout_labels(arms: int) -> tuple:
-    """The readout sheets of ``arms`` photons, one s2 per arm, in the order of the amplitudes' sheet axis."""
-    return _bare(product(SINGLE_LABELS, repeat=arms))
-
-
 # Each arm's s1 eigenvalues, in the order of the arm axes of amplitude tensors, and their projectors (I + e s1)/2.
 _S1_EIGENVALUES = (-1, 1)
 _S1_PROJECTORS = np.array([(np.eye(2) + e * stokes_operator(1)) / 2.0 for e in _S1_EIGENVALUES])
@@ -131,8 +126,8 @@ class OutcomeDensity:
 
     @property
     def labels(self) -> tuple:
-        """One readout label per sheet, as ``_readout_labels`` gives them for the number of grids."""
-        return _readout_labels(len(self.grids))
+        """One readout label per sheet: one s2 per grid, the first arm's slowest, in the order of the last axis."""
+        return _bare(product(SINGLE_LABELS, repeat=len(self.grids)))
 
     def sheet(self, label) -> np.ndarray:
         try:
@@ -173,7 +168,9 @@ _MAX_ARMS = 3
 
 @cache
 def _state_map(arms: int) -> np.ndarray:
-    """(4**arms, 2**arms): column k is ``_amplitudes`` of basis state k, ``_ARM`` per arm with the e's moved first."""
+    """(4**arms, 2**arms): column k is A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |k>, raveled from one e axis per
+    arm in ``_S1_EIGENVALUES`` order and the sheets j in ``OutcomeDensity.labels`` order: ``_ARM`` per arm, e's first.
+    """
     per_arm = _contract_arms([_ARM.reshape(4, 2)] * arms, np.eye(2**arms, dtype=complex).reshape((2,) * arms + (-1,)))
     order = [*range(0, 2 * arms, 2), *range(1, 2 * arms, 2), 2 * arms]
     return per_arm.reshape((2, 2) * arms + (-1,)).transpose(order).reshape(4**arms, -1)
@@ -186,16 +183,6 @@ def _state_vector(state) -> tuple[np.ndarray, int]:
     if not (1 <= arms <= _MAX_ARMS and psi.size == 2**arms):
         raise ValueError(f"states of 1 to {_MAX_ARMS} photons, of dimension 2**photons, are supported, got {psi.size}")
     return psi, arms
-
-
-def _amplitudes(state) -> np.ndarray:
-    """A[e_a, e_b, ..., j] = <s2 sheet j| P_ea P_eb ... |state> over the s1 eigenprojectors.
-
-    One arm axis per photon, in ``_S1_EIGENVALUES`` order, then one axis over the readout sheets in
-    ``_readout_labels(arms)`` order: one product with the arm count's cached ``_state_map``.
-    """
-    psi, arms = _state_vector(state)
-    return (_state_map(arms) @ psi).reshape((2,) * arms + (-1,))
 
 
 def _gaussians(points: np.ndarray, centers, delta_s: float, scale: float) -> np.ndarray:
@@ -228,6 +215,7 @@ def _arm_factors(grids, delta_s: float, factor: Callable[[PointerGrid], object])
     """One ``factor(grid)`` per arm, made once per distinct grid in order of first appearance, after O(1) checks that
     a density on ``grids`` fits the budget and float range; else ``ValueError``, before ``factor`` is called. A
     density's sheets sum to at most (delta_s sqrt(2 pi))**-arms, which overflows below about 7.07e-104 at 3 photons.
+    An equal grid is found by its first position with ``list.index``, which tests identity before ==: none is hashed.
     """
     counts = [grid.count for grid in grids]
     cells = math.prod(counts) * 2 ** len(grids)
@@ -239,8 +227,8 @@ def _arm_factors(grids, delta_s: float, factor: Callable[[PointerGrid], object])
     # A float product that overflows is inf; it does not raise.
     if math.prod([1.0 / (delta_s * _ROOT_TWO_PI)] * len(grids)) == math.inf:
         raise ValueError(f"delta_s {delta_s!r} is too small for {len(grids)} photons: the density would overflow")
-    factors = {grid: factor(grid) for grid in dict.fromkeys(grids)}
-    return [factors[grid] for grid in grids]
+    factors = [factor(grid) if grids.index(grid) == arm else None for arm, grid in enumerate(grids)]
+    return [factors[grids.index(grid)] for grid in grids]
 
 
 def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=_RUN_ROWS) -> Iterator[np.ndarray]:
@@ -254,16 +242,17 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=
     is made. Rounding can take the cancelling sum a few ulps below zero; such
     values are set to 0.
 
-    The state, ``delta_s``, the size budget and the float range are checked
-    when this is called, and raise ``ValueError``. The values then come in
-    runs of consecutive rows (C order, shape (run length, labels)): whole
-    first-arm points while one point fits in ``rows``, else slices of
-    ``rows`` rows of one point; ``rows=None`` gives one run.
+    Checked when this is called, in this order, each raising ``ValueError``: the state and its photon count against
+    the grids, before any product with the state; then ``delta_s``, the later arms' kernel budget, the size budget and
+    the float range, before anything grid-sized is made. The values then come in runs of consecutive rows (C order,
+    shape (run length, labels)): whole first-arm points while one point fits in ``rows``, else slices of ``rows`` rows
+    of one point; ``rows=None`` gives one run.
     """
-    amplitudes, arms = _amplitudes(state), len(grids)
-    labels = amplitudes.shape[-1]
-    if amplitudes.ndim - 1 != arms:
+    psi, photons = _state_vector(state)
+    arms, labels = len(grids), psi.size
+    if photons != arms:
         raise ValueError(f"{arms} grid(s) need a state of dimension {2**arms} (1 to {_MAX_ARMS} photons), got {labels}")
+    amplitudes = (_state_map(arms) @ psi).reshape((2,) * arms + (-1,))
     delta_s = validate_resolution(delta_s)
     # Cells per first-arm point: the other arms' grid points times the labels.
     width = math.prod(grid.count for grid in grids[1:]) * labels
@@ -275,7 +264,7 @@ def _density_chunks(state, delta_s: float, grids: tuple[PointerGrid, ...], rows=
     first, *rest = _arm_factors(grids, delta_s, lambda g: _gaussians(g.points(), _S1_EIGENVALUES, delta_s, 0.25) / norm)
     # With the first arm's axis moved last, the other arms' kernels apply to the leading axes: branches[e, j] is B_e
     # at cell j of the other arms' grids and sheets.
-    branches = _contract_arms(rest, amplitudes.transpose(*range(1, amplitudes.ndim), 0)).reshape(-1, 2).T
+    branches = _contract_arms(rest, amplitudes.transpose(*range(1, arms + 1), 0)).reshape(-1, 2).T
     # Rows |B_-|^2, 2 Re(B_- conj B_+), |B_+|^2.
     terms = (branches[[0, 0, 1]] * branches[[0, 1, 1]].conj()).real * [[1.0], [2.0], [1.0]]
     # Rows [g_-^2, g_- g_+, g_+^2], one per first-arm point.

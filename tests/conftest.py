@@ -1,5 +1,6 @@
 import math
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -96,3 +97,24 @@ def peak_location(sheet: np.ndarray, grids) -> tuple[float, ...]:
 @pytest.fixture
 def rng() -> np.random.Generator:
     return np.random.default_rng(987654321)
+
+
+@pytest.fixture
+def address_space_cap():
+    """Cap this process's address space at its current size plus 1 GiB while the test runs, then restore the limit.
+
+    A test of a refusal that must come before a large allocation then fails fast with ``MemoryError`` if the
+    allocation comes first, instead of taking gigabytes. Where ``resource`` or ``/proc`` is missing the test is skipped.
+    """
+    resource = pytest.importorskip("resource")
+    statm = Path("/proc/self/statm")
+    if not statm.exists():
+        pytest.skip("the process size, which the cap starts from, is read from /proc/self/statm")
+    size = int(statm.read_text().split()[0]) * resource.getpagesize()
+    soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+    cap = size + 2**30 if soft == resource.RLIM_INFINITY else min(size + 2**30, soft)
+    resource.setrlimit(resource.RLIMIT_AS, (cap, hard))
+    try:
+        yield
+    finally:
+        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))

@@ -437,6 +437,7 @@ class TestErrorsAndExitCodes:
             "pair-2x1.3M-points",
         ],
     )
+    @pytest.mark.usefixtures("address_space_cap")
     def test_density_over_the_size_budget_is_usage_error(self, capsys, tmp_path, argv):
         # -14:14:1e-7 is 280M points: about 2 GiB of factors before the budget check existed.
         # -7.5:7.5:1e-5 is 1.5M points, 3M cells: over the points budget only.

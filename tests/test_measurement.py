@@ -243,6 +243,21 @@ class TestArmCount:
         with pytest.raises(ValueError, match="1 to 3 photons"):
             outcome_density(np.full(16, 0.25), 0.6, *[PointerGrid(-1, 1, 1)] * 4)
 
+    @pytest.mark.parametrize("photons,arms", [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2)])
+    def test_a_state_of_another_photon_count_is_refused_before_any_product(self, monkeypatch, rng, photons, arms):
+        def state_map(arms):
+            raise AssertionError("a product with the state was made")
+
+        monkeypatch.setattr(measurement, "_state_map", state_map)
+        state, grids = random_pure_state(rng, 2**photons), (PointerGrid(-1, 1, 1),) * arms
+        message = f"{arms} grid(s) need a state of dimension {2**arms} (1 to 3 photons), got {2**photons}"
+        with pytest.raises(ValueError) as refused:
+            outcome_density(state, 0.6, *grids)
+        assert str(refused.value) == message
+        with pytest.raises(ValueError) as refused:
+            measurement._density_chunks(state, 0.6, grids)
+        assert str(refused.value) == message
+
 
 class TestClosedForm:
     def test_against_inline_formula(self):
@@ -393,7 +408,7 @@ class TestStateMap:
     @pytest.mark.parametrize("arms", [1, 2, 3])
     def test_state_map_amplitudes_equal_the_per_arm_reference(self, rng, arms):
         for state in [*np.eye(2**arms), *(random_pure_state(rng, 2**arms) for _ in range(50))]:
-            amplitudes = measurement._amplitudes(state)
+            amplitudes = (measurement._state_map(arms) @ state).reshape((2,) * arms + (-1,))
             assert amplitudes.shape == (2,) * arms + (2**arms,)
             np.testing.assert_allclose(amplitudes, amplitudes_reference(state), rtol=0, atol=1e-15)
 
@@ -417,6 +432,23 @@ class TestArmFactors:
 
         # An equal grid built anew is the same grid.
         factors = measurement._arm_factors((b, a, PointerGrid(-2, 2, 1)), 1.0, factor)
+        assert calls == [b, a]
+        assert factors == [(1, b), (2, a), (1, b)] and factors[0] is factors[2]
+
+    def test_grids_are_told_apart_without_hashing(self):
+        class UnhashableGrid(PointerGrid):
+            __hash__ = None
+
+        a, b = UnhashableGrid(-1, 1, 1), UnhashableGrid(-2, 2, 1)
+        with pytest.raises(TypeError):
+            hash(a)
+        calls = []
+
+        def factor(grid):
+            calls.append(grid)
+            return len(calls), grid
+
+        factors = measurement._arm_factors((b, a, UnhashableGrid(-2, 2, 1)), 1.0, factor)
         assert calls == [b, a]
         assert factors == [(1, b), (2, a), (1, b)] and factors[0] is factors[2]
 
@@ -538,6 +570,7 @@ class TestDensityChunks:
         [(2, 1333334), (2, 1000, 1000)],
         ids=["pair-2x1333334", "three-2x1000x1000"],
     )
+    @pytest.mark.usefixtures("address_space_cap")
     def test_kernel_arrays_over_the_size_budget_raise_before_allocating(self, rng, counts):
         # 10.7M and 16M cells, under the budget of 2**24 cells, but the kernel arrays of the arms after the first would
         # take about 180 bytes per cell of their grids and labels: 960 MB and 1.4 GB.
@@ -555,6 +588,7 @@ class TestDensityChunks:
             tracemalloc.stop()
 
     @pytest.mark.parametrize("grid", [PointerGrid(-14, 14, 1e-7), PointerGrid(-14, 14, 0.005)])
+    @pytest.mark.usefixtures("address_space_cap")
     def test_over_the_size_budget_raises_before_allocating(self, grid):
         table = quasiprob_table(bell_state(), 2.0)
         calls = [
@@ -572,6 +606,7 @@ class TestDensityChunks:
         finally:
             tracemalloc.stop()
 
+    @pytest.mark.usefixtures("address_space_cap")
     def test_deconvolution_and_rebuild_check_their_grids_before_allocating(self):
         def deconvolve_zeros_on(grid):
             # Every value a view of one zero, so that the density allocates nothing.
